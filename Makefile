@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race test-race vet bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
+.PHONY: all build test race test-race vet bench-build bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
 
 all: build
 
@@ -29,6 +29,13 @@ test-race:
 
 vet:
 	$(GO) vet ./...
+
+# bench-build compiles, vets and tests the judge: bench/ is a module of
+# its own that imports bonnroute/internal/... through a replace, outside
+# `go test ./...`, so a deletion in the router can break the benchmark
+# build while tier-1 stays green.
+bench-build:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 # bench-smoke runs the interval-vs-node benchmarks once each: a fast
 # sanity check that the path-search hot path still finds the long
@@ -78,8 +85,8 @@ scale-smoke:
 # tracer must stay allocation-free, the pooled path-search engine must
 # keep its per-search allocation budget — both serially and with four
 # engines searching concurrently (the Workers=4 regime) — cached
-# future-cost requests (the rip-up retry / ECO re-query path) must be
-# allocation-free, the region-task scheduler's own dispatch overhead
+# future-cost requests (the rip-up retry path) must be allocation-free,
+# the region-task scheduler's own dispatch overhead
 # must stay bounded so the parallel path cannot erode those budgets,
 # and the Steiner oracles (Path Composition and the exact goal-oriented
 # search) must hold their steady-state per-call budgets once warm.
@@ -111,19 +118,18 @@ steiner-smoke:
 	$(GO) test -run 'TestExactDifferential|TestExactPlanarMatchesRSMT' ./internal/steiner
 
 # check is the pre-merge gate: vet, build, the full test suite, the
-# targeted race lane, the benchmark smoke test, the trace smoke test,
+# benchmark module's build and tests, the targeted race lane, the
+# benchmark smoke test, the trace smoke test,
 # the verifier fuzz sweeps (plain, ECO, and scale), the Steiner oracle
 # differential, the allocation guards (including the scale-tier memory
 # budgets), the service daemon round-trip, and the 10⁴-net scale smoke.
 # (`make race` — the whole suite under -race — stays available as the
 # long-form lane.)
-check: vet build test test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke steiner-smoke alloc-guard service-smoke scale-smoke
+check: vet build test bench-build test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke steiner-smoke alloc-guard service-smoke scale-smoke
 
 # bench-json regenerates the committed benchmark artifact (small suite
-# plus the path-search micro-benchmarks). Each chip's flows carry a `pi`
-# label and full (explicit-zero) search_stats; the BR+cleanup vs
-# BR+cleanup-piR pair is the committed search-effort comparison for the
-# reduced-graph future cost.
+# plus the path-search micro-benchmarks). Each chip's ISR and BR+cleanup
+# flows carry full (explicit-zero) search_stats.
 bench-json:
 	$(GO) run ./cmd/routebench -suite small -bench-json BENCH_pathsearch.json
 

@@ -66,7 +66,7 @@ func reportFlow(b *testing.B, res *bonnroute.Result) {
 
 func BenchmarkTableI_ISR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bonnroute.RouteBaselineWithOptions(context.Background(), benchChip(), bonnroute.Options{Seed: 11})
+		res := bonnroute.RouteBaseline(context.Background(), benchChip(), bonnroute.WithOptions(bonnroute.Options{Seed: 11}))
 		if i == b.N-1 {
 			reportFlow(b, res)
 		}
@@ -75,7 +75,7 @@ func BenchmarkTableI_ISR(b *testing.B) {
 
 func BenchmarkTableI_BRCleanup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bonnroute.RouteWithOptions(context.Background(), benchChip(), bonnroute.Options{Seed: 11})
+		res := bonnroute.Route(context.Background(), benchChip(), bonnroute.WithOptions(bonnroute.Options{Seed: 11}))
 		if i == b.N-1 {
 			reportFlow(b, res)
 			b.ReportMetric(res.FastGridHitRate, "fg-hitrate")
@@ -88,7 +88,7 @@ func BenchmarkTableI_BRCleanup(b *testing.B) {
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := benchChip()
-		res := bonnroute.RouteWithOptions(context.Background(), c, bonnroute.Options{Seed: 11})
+		res := bonnroute.Route(context.Background(), c, bonnroute.WithOptions(bonnroute.Options{Seed: 11}))
 		if i < b.N-1 || res.Global == nil {
 			continue
 		}

@@ -44,7 +44,6 @@ import (
 
 	"bonnroute/internal/chip"
 	"bonnroute/internal/core"
-	"bonnroute/internal/detail"
 	"bonnroute/internal/incremental"
 	"bonnroute/internal/obs"
 	"bonnroute/internal/report"
@@ -74,7 +73,7 @@ type ChipParams = chip.GenParams
 type Chip = chip.Chip
 
 // Options is the low-level configuration struct consumed by
-// RouteWithOptions; prefer the functional options of Route.
+// WithOptions; prefer the functional options of Route.
 type Options = core.Options
 
 // Result is a completed flow: global and detailed statistics, the DRC
@@ -190,35 +189,18 @@ func (g GlobalConfig) SetExactSteiner(n int) GlobalConfig {
 	return g
 }
 
-// FutureMode selects the future-cost family driving detailed routing's
-// goal-oriented search: FutureDefault (legacy π_H / UsePFuture behavior,
-// bit-identical to earlier releases), FutureAuto (per-net reduced-graph
-// π_R by degree/bbox heuristics — what incremental reroutes default to),
-// or FutureReduced (always π_R). See DESIGN.md §12.
-type FutureMode = detail.FutureMode
-
-// Future-cost modes for DetailConfig.FutureMode.
-const (
-	FutureDefault = detail.FutureDefault
-	FutureAuto    = detail.FutureAuto
-	FutureReduced = detail.FutureReduced
-)
-
 // DetailConfig collects the detailed-routing knobs for WithDetailConfig.
 // Like GlobalConfig, struct-literal fields merge (zero keeps earlier
 // settings) and SetX accessors set explicitly, including to false.
 type DetailConfig struct {
 	// UsePFuture enables the blockage-aware future cost (§3.5).
 	UsePFuture bool
-	// FutureMode selects the future-cost family (π_H/auto/reduced).
-	FutureMode FutureMode
 
 	set uint8
 }
 
 const (
 	dcUsePFuture = 1 << iota
-	dcFutureMode
 )
 
 // SetUsePFuture returns a copy with UsePFuture explicitly set; false
@@ -226,14 +208,6 @@ const (
 // enabled it.
 func (d DetailConfig) SetUsePFuture(b bool) DetailConfig {
 	d.UsePFuture, d.set = b, d.set|dcUsePFuture
-	return d
-}
-
-// SetFutureMode returns a copy with FutureMode explicitly set;
-// FutureDefault restores the legacy selection even when an earlier
-// option chose another mode.
-func (d DetailConfig) SetFutureMode(m FutureMode) DetailConfig {
-	d.FutureMode, d.set = m, d.set|dcFutureMode
 	return d
 }
 
@@ -284,11 +258,6 @@ func WithDetailConfig(d DetailConfig) Option {
 			o.UsePFuture = d.UsePFuture
 		} else if d.UsePFuture {
 			o.UsePFuture = true
-		}
-		if d.set&dcFutureMode != 0 {
-			o.FutureMode = d.FutureMode
-		} else if d.FutureMode != FutureDefault {
-			o.FutureMode = d.FutureMode
 		}
 	}
 }
@@ -342,25 +311,6 @@ func RouteBaseline(ctx context.Context, c *Chip, opts ...Option) *Result {
 	return core.RouteBaseline(ctx, c, buildOptions(opts))
 }
 
-// Reroute applies an ECO delta to a finished run: committed wiring of
-// clean nets is reused verbatim, only affected global edges are
-// re-priced, and only the dirty set goes back through the detail
-// pipeline (full from-scratch fallback above WithEcoThreshold). An
-// empty delta returns prev itself, bit-identical. prev is never
-// modified.
-//
-// The options MUST match the ones prev was routed with — in particular
-// the seed, or the incremental result silently loses the determinism
-// contract. Nothing in this signature enforces that pairing, which is
-// why it is deprecated in favour of Session, where the options are
-// pinned once and every reroute reuses them.
-//
-// Deprecated: use NewSession (or SessionFromResult) and
-// Session.Reroute, which cannot mispair options with the result.
-func Reroute(ctx context.Context, prev *Result, delta Delta, opts ...Option) (*Result, *EcoStats, error) {
-	return incremental.Reroute(ctx, prev, delta, buildOptions(opts))
-}
-
 // RandomDelta builds a seeded random ECO scenario against a chip:
 // useful for stress tests and benchmarks. The zero GenConfig scales the
 // delta to roughly 3% of the chip's nets.
@@ -370,22 +320,6 @@ func RandomDelta(c *Chip, seed int64, cfg incremental.GenConfig) Delta {
 
 // EcoGenConfig sizes RandomDelta.
 type EcoGenConfig = incremental.GenConfig
-
-// RouteWithOptions is the old escape hatch for callers that already
-// hold a fully-populated core.Options.
-//
-// Deprecated: use Route(ctx, c, WithOptions(opt)) — the same escape
-// hatch as a composable functional option.
-func RouteWithOptions(ctx context.Context, c *Chip, opt Options) *Result {
-	return Route(ctx, c, WithOptions(opt))
-}
-
-// RouteBaselineWithOptions is the old baseline-flow escape hatch.
-//
-// Deprecated: use RouteBaseline(ctx, c, WithOptions(opt)).
-func RouteBaselineWithOptions(ctx context.Context, c *Chip, opt Options) *Result {
-	return RouteBaseline(ctx, c, WithOptions(opt))
-}
 
 // FormatMetrics renders Table-I-style rows.
 func FormatMetrics(rows []Metrics) string { return report.FormatTableI(rows) }

@@ -65,7 +65,6 @@ import (
 // flowJSON is one full-flow run in the -bench-json output.
 type flowJSON struct {
 	Name        string     `json:"name"`
-	Pi          string     `json:"pi,omitempty"` // future cost the detail stage ran with
 	GlobalMS    float64    `json:"global_ms"`
 	DetailMS    float64    `json:"detail_ms"`
 	CleanupMS   float64    `json:"cleanup_ms"`
@@ -310,36 +309,25 @@ func tableI(params []chip.GenParams, workers int) {
 		isr := core.RouteBaseline(runCtx, chip.Generate(p), opt)
 		isr.Metrics.Name = p.Name + "/ISR"
 		rows = append(rows, isr.Metrics)
-		collectFlow(isr, "pi_H")
+		collectFlow(isr)
 
 		br := core.RouteBonnRoute(runCtx, chip.Generate(p), opt)
 		br.Metrics.Name = p.Name + "/BR+cleanup"
 		rows = append(rows, br.Metrics)
-		collectFlow(br, "pi_H")
-
-		// The same flow under the reduced-graph future cost: the
-		// search-effort comparison (heap pops / labels) against the
-		// pi_H row above is the benchmark for the stronger bound.
-		optR := opt
-		optR.FutureMode = detail.FutureReduced
-		brR := core.RouteBonnRoute(runCtx, chip.Generate(p), optR)
-		brR.Metrics.Name = p.Name + "/BR+cleanup-piR"
-		rows = append(rows, brR.Metrics)
-		collectFlow(brR, "pi_R")
+		collectFlow(br)
 	}
 	fmt.Print(report.FormatTableI(rows))
 	fmt.Println()
 }
 
 // collectFlow records one flow run into the -bench-json document.
-func collectFlow(res *core.Result, pi string) {
+func collectFlow(res *core.Result) {
 	if collect == nil {
 		return
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	fj := flowJSON{
 		Name:      res.Metrics.Name,
-		Pi:        pi,
 		DetailMS:  ms(res.DetailTime),
 		CleanupMS: ms(res.CleanupTime),
 		TotalMS:   ms(res.Metrics.Runtime),
@@ -508,14 +496,11 @@ func searchWorld() (*pathsearch.Config, []geom.Point3, []geom.Point3) {
 }
 
 // tableIV runs the path-search engine micro-benchmarks: pooled one-shot
-// calls, the steady-state engine (the router-worker regime), the heap
-// fallback (isolating the bucket-queue win), and the node-labelling
-// reference.
+// calls, the steady-state engine (the router-worker regime), and the
+// node-labelling reference.
 func tableIV() {
 	fmt.Println("=== Path-search engine micro-benchmarks ===")
 	cfg, S, T := searchWorld()
-	heapCfg := *cfg
-	heapCfg.ForceHeapQueue = true
 
 	run := func(name string, fn func(b *testing.B)) {
 		r := testing.Benchmark(fn)
@@ -547,15 +532,6 @@ func tableIV() {
 			}
 		}
 	})
-	run("Interval/steady-heapq", func(b *testing.B) {
-		e := pathsearch.NewEngine()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if e.Search(&heapCfg, S, T) == nil {
-				b.Fatal("no path")
-			}
-		}
-	})
 	run("Node/steady", func(b *testing.B) {
 		e := pathsearch.NewEngine()
 		b.ResetTimer()
@@ -563,27 +539,6 @@ func tableIV() {
 			if e.NodeSearch(cfg, S, T) == nil {
 				b.Fatal("no path")
 			}
-		}
-	})
-	run("Future/reduced-build", func(b *testing.B) {
-		// Construction cost of the reduced-graph future cost over the
-		// same world (the price a cache miss pays before a search).
-		nl := 4
-		costs := pathsearch.UniformCosts(nl, 3, 160)
-		dirs := make([]geom.Direction, nl)
-		for z := range dirs {
-			if z%2 == 0 {
-				dirs[z] = geom.Horizontal
-			} else {
-				dirs[z] = geom.Vertical
-			}
-		}
-		targets := map[int][]geom.Rect{0: {geom.R(7780, 20, 7781, 21)}}
-		bounds := geom.R(0, 0, 8000, 8000)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pathsearch.NewRFuture(nl, costs, targets, bounds,
-				pathsearch.RFutureConfig{Cell: 160, Dirs: dirs})
 		}
 	})
 

@@ -43,10 +43,6 @@ type Options struct {
 	// UsePFuture enables the blockage-aware future cost in detailed
 	// routing.
 	UsePFuture bool
-	// FutureMode selects the detailed-routing future-cost family
-	// (detail.FutureDefault/Auto/Reduced). The zero value keeps the
-	// legacy π_H / UsePFuture behavior bit-identical.
-	FutureMode detail.FutureMode
 	// EcoThreshold is the dirty-fraction above which incremental
 	// rerouting falls back to a full from-scratch run (see package
 	// incremental). Default 0.35; negative disables the fallback.
@@ -208,7 +204,7 @@ func RouteBonnRoute(ctx context.Context, c *chip.Chip, opt Options) *Result {
 	// catalogues (§4.3) are built here, so the prep span carries the
 	// branch-and-bound effort.
 	prepSpan := root.Child("stage.prep")
-	r := detail.New(c, detail.Options{Workers: opt.Workers, UsePFuture: opt.UsePFuture, FutureMode: opt.FutureMode})
+	r := detail.New(c, detail.Options{Workers: opt.Workers, UsePFuture: opt.UsePFuture})
 	as := r.AccessStats()
 	prepSpan.End(obs.Int("access_catalogues", as.Catalogues),
 		obs.Int("access_bb_nodes", as.BBNodes),

@@ -620,13 +620,11 @@ func (r *Router) connectOnce(w *worker, ni int, comps []component, ripupBudget i
 	return true
 }
 
-// futureCost builds the search potential π toward T under the router's
-// FutureMode (DESIGN.md §12): the legacy π_H / π_P selection by default,
-// the reduced-graph π_R always under FutureReduced, or per net under
-// FutureAuto. π_H and π_R come from the engine's future-cost caches,
-// which reuse the previous structure when the same net retries with
-// unchanged targets (rip-up attempts, ECO re-queries) and memoize via
-// lower bounds across nets sharing target layers.
+// futureCost builds the search potential π toward T (DESIGN.md §12):
+// π_H, or the blockage-aware π_P under UsePFuture. π_H comes from the
+// engine's future-cost cache, which reuses the previous structure when
+// the same net retries with unchanged targets (rip-up attempts) and
+// memoizes via lower bounds across nets sharing target layers.
 func (r *Router) futureCost(e *pathsearch.Engine, ni int, T []geom.Point3, area *pathsearch.Area) pathsearch.FutureCost {
 	if r.opt.UsePFuture {
 		targets := map[int][]geom.Rect{}
@@ -634,7 +632,7 @@ func (r *Router) futureCost(e *pathsearch.Engine, ni int, T []geom.Point3, area 
 			targets[t.Z] = append(targets[t.Z], geom.Rect{XMin: t.X, YMin: t.Y, XMax: t.X + 1, YMax: t.Y + 1})
 		}
 		bounds := area.Bounds()
-		obst := r.blockedCells()
+		obst := r.staticObst
 		return pathsearch.NewPFuture(r.Chip.NumLayers(), r.costs, targets, bounds,
 			pathsearch.PFutureConfig{
 				Cell: 8 * r.Chip.Deck.Layers[0].Pitch,
@@ -648,86 +646,7 @@ func (r *Router) futureCost(e *pathsearch.Engine, ni int, T []geom.Point3, area 
 				},
 			})
 	}
-	if r.opt.NodeSearch {
-		// The node search stops at the first settled target, which is
-		// only optimal under an exactly feasible π — keep it on π_H
-		// regardless of FutureMode (the coarse-grid bounds trade bounded
-		// local infeasibility for strength, which only the
-		// label-correcting interval search absorbs).
-		return e.HFutureFor(int32(ni), r.Chip.NumLayers(), r.costs, T)
-	}
-	switch r.opt.FutureMode {
-	case FutureReduced:
-		// Forced mode: the finest grid (pitch/2 cells resolve the power
-		// rails and stripes) for the strongest bound regardless of build
-		// cost — the search-effort benchmark configuration.
-		return r.reducedFuture(e, ni, T, area, r.Chip.Deck.Layers[0].Pitch/2)
-	case FutureAuto:
-		if wantReducedFuture(T, r.Chip.Deck.Layers[0].Pitch, r.routes[ni].attempt) {
-			// Selected mode: pitch cells — a quarter of the build cost —
-			// because here π_R must win on wall time, not just on pops.
-			return r.reducedFuture(e, ni, T, area, r.Chip.Deck.Layers[0].Pitch)
-		}
-	}
 	return e.HFutureFor(int32(ni), r.Chip.NumLayers(), r.costs, T)
-}
-
-// wantReducedFuture is the FutureAuto selection heuristic: π_R pays for
-// its construction on late retries (attempt ≥ 3 means the net failed
-// repeatedly, its corridor is dropped, and it now searches a large,
-// penalized, rip-up-heavy area — exactly where π_H's blindness to jog
-// weights and blockages costs the most pops), on high-degree
-// connections, and on target spans wide enough that the stronger bound
-// trims a large ellipse. First-attempt small nets keep the free π_H.
-// Depends only on net geometry and the net's own attempt counter
-// (deterministic replay state), so the choice is worker-count
-// independent.
-func wantReducedFuture(T []geom.Point3, pitch, attempt int) bool {
-	if len(T) == 0 {
-		return false
-	}
-	if attempt >= 3 {
-		return true
-	}
-	if attempt < 2 {
-		// First attempts always take the free π_H: most nets route in one
-		// try and a π_R build would be pure overhead for them.
-		return false
-	}
-	if len(T) >= 8 {
-		return true
-	}
-	bb := geom.Rect{XMin: T[0].X, YMin: T[0].Y, XMax: T[0].X, YMax: T[0].Y}
-	for _, t := range T[1:] {
-		bb.XMin = min(bb.XMin, t.X)
-		bb.YMin = min(bb.YMin, t.Y)
-		bb.XMax = max(bb.XMax, t.X)
-		bb.YMax = max(bb.YMax, t.Y)
-	}
-	return bb.W()+bb.H() >= 64*pitch
-}
-
-// reducedFuture builds (or fetches from the engine cache) π_R over the
-// search area at the given cell size. The blockage model is the chip's
-// static obstacle set — never committed wiring — so a cached π_R is a
-// pure function of (targets, bounds, costs, layer directions) and reuse
-// is bit-identical to a rebuild.
-func (r *Router) reducedFuture(e *pathsearch.Engine, ni int, T []geom.Point3, area *pathsearch.Area, cell int) pathsearch.FutureCost {
-	obst := r.staticObst
-	return e.RFutureFor(int32(ni), r.Chip.NumLayers(), r.costs, r.layerDirs, T,
-		area.Bounds(), cell,
-		func(z int, cellRect geom.Rect) bool {
-			for _, o := range obst[z] {
-				if o.ContainsRect(cellRect) {
-					return true
-				}
-			}
-			return false
-		})
-}
-
-func (r *Router) blockedCells() [][]geom.Rect {
-	return r.staticObst
 }
 
 // commitPath inserts a found path into the routing space. The striped

@@ -25,24 +25,6 @@ import (
 	"bonnroute/internal/tracks"
 )
 
-// FutureMode selects which future-cost (π) family drives the interval
-// search (the hierarchy of DESIGN.md §12).
-type FutureMode int
-
-const (
-	// FutureDefault keeps the legacy selection: π_H everywhere, or π_P
-	// for every connection when Options.UsePFuture is set. Existing
-	// flows stay bit-identical under this mode.
-	FutureDefault FutureMode = iota
-	// FutureAuto picks π per net: the reduced-graph π_R for connections
-	// whose target degree or bounding box makes the stronger bound pay
-	// for its construction, π_H for the rest. The choice depends only on
-	// net geometry, never on worker count or timing.
-	FutureAuto
-	// FutureReduced always uses the reduced-graph π_R.
-	FutureReduced
-)
-
 // Options tune the detailed router.
 type Options struct {
 	// BetaJog and GammaVia are the edge cost parameters of §4.1.
@@ -61,12 +43,6 @@ type Options struct {
 	// UsePFuture switches long-detour connections to the blockage-aware
 	// future cost π_P (§4.1).
 	UsePFuture bool
-	// FutureMode selects the future-cost family for interval searches
-	// (DESIGN.md §12). FutureDefault keeps the legacy behavior (π_H, or
-	// π_P under UsePFuture) bit-identical; FutureAuto picks the reduced-
-	// graph π_R per net by degree/bbox heuristics; FutureReduced always
-	// uses π_R. UsePFuture takes precedence when set.
-	FutureMode FutureMode
 	// SpreadCost is the optional wire-spreading hook (§4.2).
 	SpreadCost func(z, trackIdx, lo, hi int) int
 	// AccessCache seeds catalogue construction from a previous router's
@@ -226,12 +202,8 @@ type Router struct {
 	costs  pathsearch.Costs
 	routes []netRoute
 
-	// layerDirs and staticObst cache the per-layer preferred directions
-	// and the chip's fixed obstacle rects for reduced-graph future-cost
-	// construction. Both are static for the router's lifetime (committed
-	// wiring is never part of π), which is what makes cached π_R reuse
-	// exact without mid-run invalidation.
-	layerDirs  []geom.Direction
+	// staticObst caches the chip's fixed obstacle rects for π_P
+	// construction (committed wiring is never part of π).
 	staticObst [][]geom.Rect
 
 	// corridors[ni] holds the net's global routing tree edges (nil: no
@@ -428,7 +400,6 @@ func New(c *chip.Chip, opt Options) *Router {
 		Chip: c, Space: space, TG: tg, FG: fg, opt: opt,
 		costs:      pathsearch.UniformCosts(c.NumLayers(), opt.BetaJog, opt.GammaVia),
 		routes:     make([]netRoute, len(c.Nets)),
-		layerDirs:  dirs,
 		staticObst: obstacles,
 	}
 	// Interaction margins for region-partitioned parallelism (§5.1),

@@ -143,20 +143,8 @@ func Reroute(ctx context.Context, prev *core.Result, delta Delta, opt core.Optio
 	// stays on-track by construction, and stable vertices keep the access
 	// hints below verifiable. Legality around the delta's new geometry is
 	// enforced by the routing space, not by track placement.
-	//
-	// Dirty nets route in reuse-mode goal-oriented search: unless the
-	// caller pinned a future-cost mode explicitly, the dirty-net router
-	// runs FutureAuto, so large dirty nets get the reduced-graph π_R and
-	// its rip-up retries hit the engine's π cache (DESIGN.md §12). The
-	// mode changes exploration order only — path costs, and hence the
-	// equivalence contract against a from-scratch run (§9/§10 verifier
-	// passes, identical opens/overflow), are unaffected.
-	fm := opt.FutureMode
-	if fm == detail.FutureDefault && !opt.UsePFuture {
-		fm = detail.FutureAuto
-	}
 	r2 := detail.New(c2, detail.Options{
-		Workers: opt.Workers, UsePFuture: opt.UsePFuture, FutureMode: fm,
+		Workers: opt.Workers, UsePFuture: opt.UsePFuture,
 		TrackGraph:  prev.Router.TG,
 		AccessCache: prev.Router.AccessCache(),
 		AccessHints: func(pi int) *pinaccess.AccessPath { return hints[pi] },

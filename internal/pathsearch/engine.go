@@ -27,16 +27,14 @@ type Engine struct {
 	// Interval store: arena-allocated ivals plus a flat per-track cache
 	// (indexed by trackBase[z]+ti) that is invalidated by epoch, not by
 	// reallocation.
-	arena       ivalArena
-	trackBase   []int32
-	trackCache  []trackEntry
-	cachedTG    *tracks.Graph
-	maxGap      []int // per layer: max adjacent-track gap (bucket gating)
-	maxCrossGap int   // max adjacent-crossing gap over all layers
+	arena      ivalArena
+	trackBase  []int32
+	trackCache []trackEntry
+	cachedTG   *tracks.Graph
 
 	// Label store and priority queue.
 	labels []label
-	pq     searchQueue
+	pq     pqHeap
 
 	// Expanded-crossing table keyed by (ival id, position).
 	exp expTable
@@ -57,7 +55,7 @@ type Engine struct {
 	nodes   []nodeState
 	nodeTab expTable
 	nbrBuf  []nodeNbr
-	npq     searchQueue
+	npq     pqHeap
 
 	// Future-cost cache (π_H reuse across rip-up retries, via-lower-bound
 	// memo across nets sharing target layers).
@@ -221,9 +219,7 @@ func (t *expTable) grow(size int) {
 	}
 }
 
-// bindGraph (re)builds the flat track-cache index for a new track graph
-// and precomputes the per-layer max jog gap used to gate the bucket
-// queue.
+// bindGraph (re)builds the flat track-cache index for a new track graph.
 func (e *Engine) bindGraph(tg *tracks.Graph) {
 	e.tg = tg
 	if tg == e.cachedTG {
@@ -232,26 +228,10 @@ func (e *Engine) bindGraph(tg *tracks.Graph) {
 	e.cachedTG = tg
 	nl := tg.NumLayers()
 	e.trackBase = append(e.trackBase[:0], make([]int32, nl)...)
-	e.maxGap = append(e.maxGap[:0], make([]int, nl)...)
-	e.maxCrossGap = 0
 	total := 0
 	for z := 0; z < nl; z++ {
 		e.trackBase[z] = int32(total)
-		coords := tg.Layers[z].Coords
-		total += len(coords)
-		gap := 0
-		for i := 1; i < len(coords); i++ {
-			if d := coords[i] - coords[i-1]; d > gap {
-				gap = d
-			}
-		}
-		e.maxGap[z] = gap
-		cross := tg.Layers[z].Cross
-		for i := 1; i < len(cross); i++ {
-			if d := cross[i] - cross[i-1]; d > e.maxCrossGap {
-				e.maxCrossGap = d
-			}
-		}
+		total += len(tg.Layers[z].Coords)
 	}
 	if cap(e.trackCache) < total {
 		e.trackCache = make([]trackEntry, total)
@@ -260,36 +240,6 @@ func (e *Engine) bindGraph(tg *tracks.Graph) {
 	for i := range e.trackCache {
 		e.trackCache[i] = trackEntry{}
 	}
-}
-
-// maxKeyStep bounds the key increase of any single queue event under cfg:
-// twice the largest edge cost (feasible potentials change by at most the
-// edge cost in either direction) plus slack for sweep continuations.
-func (e *Engine) maxKeyStep(cfg *Config) int {
-	step := 1
-	for z, beta := range cfg.Costs.BetaJog {
-		if z < len(e.maxGap) {
-			if c := beta * e.maxGap[z]; c > step {
-				step = c
-			}
-		}
-	}
-	for _, gamma := range cfg.Costs.GammaVia {
-		if gamma > step {
-			step = gamma
-		}
-	}
-	return 2*step + 4
-}
-
-// maxNodeKeyStep additionally covers the node search's along-track steps,
-// whose cost is the gap between adjacent crossings.
-func (e *Engine) maxNodeKeyStep(cfg *Config) int {
-	step := e.maxKeyStep(cfg)
-	if s := 2*e.maxCrossGap + 4; s > step {
-		step = s
-	}
-	return step
 }
 
 // beginSearch resets the pooled state for a fresh search under cfg.
@@ -312,19 +262,13 @@ func (e *Engine) beginSearch(cfg *Config) {
 	e.seq = 0
 	e.arena.reset()
 	e.labels = e.labels[:0]
+	e.pq = e.pq[:0]
 	e.exp.reset(e.epoch)
 	e.stats = Stats{}
 	e.best = inf
 	e.bestLabel = -1
 	e.bestPos = 0
 	e.targetCount = 0
-
-	// The Dial-style bucket queue needs integer keys advancing in bounded
-	// steps: plain wire/jog/via costs qualify; rip-up penalties and
-	// arbitrary spreading costs do not (heap fallback).
-	useBuckets := !cfg.ForceHeapQueue && cfg.MaxNeed == 0 && cfg.SpreadCost == nil &&
-		e.maxKeyStep(cfg) < bucketWindow
-	e.pq.reset(useBuckets)
 }
 
 // endSearch folds the search tally into the engine totals.

@@ -61,35 +61,6 @@ func TestEngineReuseDeterminism(t *testing.T) {
 	}
 }
 
-// TestBucketVsHeapEquivalence is the queue-swap guard: the Dial bucket
-// queue and the binary heap must pop in the same (key asc, seq desc)
-// order, so forcing the heap cannot change the found path or the effort.
-func TestBucketVsHeapEquivalence(t *testing.T) {
-	_, cfg, S, T := blockedWorld()
-	e := NewEngine()
-	bucket := e.Search(cfg, S, T)
-	if bucket == nil {
-		t.Fatal("no path")
-	}
-	heapCfg := *cfg
-	heapCfg.ForceHeapQueue = true
-	heap := e.Search(&heapCfg, S, T)
-	if !pathsEqual(bucket, heap) {
-		t.Fatalf("bucket and heap queues found different paths:\n  bucket %v cost %d\n  heap   %v cost %d",
-			bucket.Points, bucket.Cost, heap.Points, heap.Cost)
-	}
-	if bucket.Stats.HeapPops != heap.Stats.HeapPops || bucket.Stats.Labels != heap.Stats.Labels {
-		t.Fatalf("bucket and heap effort differ: %+v vs %+v", bucket.Stats, heap.Stats)
-	}
-
-	// Node search: same guard for the reference Dijkstra.
-	nb := e.NodeSearch(cfg, S, T)
-	nh := e.NodeSearch(&heapCfg, S, T)
-	if !pathsEqual(nb, nh) {
-		t.Fatal("node search: bucket and heap queues found different paths")
-	}
-}
-
 // TestSteadyStateAllocs is the allocation-regression guard for the
 // tentpole claim: once warm, a search allocates only the returned Path
 // (struct + waypoint slice) — everything else comes from engine pools.
@@ -224,8 +195,7 @@ func TestTakeStats(t *testing.T) {
 }
 
 // BenchmarkEngineSteady measures the steady-state hot path the router
-// workers run: one engine reused across searches. Compare against
-// BenchmarkEngineSteady_HeapQueue for the bucket-queue win.
+// workers run: one engine reused across searches.
 func BenchmarkEngineSteady(b *testing.B) {
 	_, cfg, S, T := blockedWorld()
 	e := NewEngine()
@@ -233,20 +203,6 @@ func BenchmarkEngineSteady(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if e.Search(cfg, S, T) == nil {
-			b.Fatal("no path")
-		}
-	}
-}
-
-func BenchmarkEngineSteady_HeapQueue(b *testing.B) {
-	_, cfg, S, T := blockedWorld()
-	heapCfg := *cfg
-	heapCfg.ForceHeapQueue = true
-	e := NewEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if e.Search(&heapCfg, S, T) == nil {
 			b.Fatal("no path")
 		}
 	}

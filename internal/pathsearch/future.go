@@ -105,9 +105,8 @@ func (f *HFuture) At(x, y, z int) int {
 // last-built HFuture (reused verbatim across rip-up retries of the same
 // net, whose target set is unchanged), a memo of via-lower-bound vectors
 // keyed by target-layer bitmask (shared across nets whose targets touch
-// the same layers, valid while GammaVia is unchanged), a pooled
-// target-layer scratch buffer, and the reduced-graph (RFuture) cache with
-// its dirty-region invalidation log.
+// the same layers, valid while GammaVia is unchanged), and a pooled
+// target-layer scratch buffer.
 type futureCache struct {
 	gamma   []int
 	nl      int
@@ -117,48 +116,7 @@ type futureCache struct {
 	lastPts []geom.Point3
 	lastPi  *HFuture
 	tl      []bool // pooled target-layer mask handed to viaLB
-
-	// Reduced-graph cache: a small LRU of RFuture structures keyed by
-	// net and validated against the full parameter set plus the dirty
-	// log (NoteDirty), so reuse is exact — a cached π is returned only
-	// when rebuilding it would produce a bit-identical structure.
-	rf       []rfEntry
-	rfClock  uint64
-	dirtyGen uint64
-	dirtyLog []dirtyRegion
 }
-
-// rfEntry is one cached reduced-graph future cost with everything needed
-// to decide whether a new request would rebuild it identically.
-type rfEntry struct {
-	net    int32
-	nl     int
-	cell   int
-	bounds geom.Rect
-	beta   []int
-	gamma  []int
-	dirs   []geom.Direction
-	pts    []geom.Point3
-	rf     *RFuture
-	gen    uint64 // dirty generation the entry is known valid at
-	stamp  uint64 // LRU clock
-}
-
-// dirtyRegion is one NoteDirty record: geometry on layer z changed after
-// generation gen-1.
-type dirtyRegion struct {
-	gen uint64
-	z   int
-	r   geom.Rect
-}
-
-// rfCacheSize bounds the engine's reduced-graph LRU; rip-up retries and
-// ECO re-queries of the same few nets hit within a handful of entries.
-const rfCacheSize = 8
-
-// dirtyLogCap bounds the invalidation log; past it the cache is dropped
-// wholesale (exactness-preserving compaction) and the log truncated.
-const dirtyLogCap = 64
 
 // HFutureFor returns π_H for the given target points, identified by net.
 // Identical consecutive requests (same net, layer count, costs, and
@@ -474,323 +432,4 @@ func (h *distHeap) pop() (distItem, bool) {
 		i = small
 	}
 	return top, true
-}
-
-// RFuture is the layer-aware reduced-graph future cost π_R (after
-// Ahrens et al., "Faster Goal-Oriented Shortest Path Search for Bulk and
-// Incremental Detailed Routing"): exact backward Dijkstra distances on a
-// compressed grid whose edge weights respect the per-layer cost model —
-// an x-step on layer z costs wx[z]·cell where wx[z] is 1 when x is the
-// layer's preferred direction and BetaJog[z] otherwise (symmetrically
-// wy), and layer changes cost the exact GammaVia — instead of PFuture's
-// uniform unit-weight cells. Distances are slacked by the anisotropic
-// generalization of PFuture's discretization bound and maxed pointwise
-// with π_H, so π_R ≥ π_H by construction and feasibility degrades no
-// further than the already-documented PFuture quantization (the interval
-// search is label-correcting, so results stay exact).
-type RFuture struct {
-	h      *HFuture
-	bounds geom.Rect
-	cell   int
-	nx, ny int
-	layers int
-	slack  []int32 // per query layer: discretization slack subtracted in At
-	dist   []int32 // [z][cy][cx] flattened, -1 = unreached
-}
-
-// RFutureConfig parameterizes the reduced grid.
-type RFutureConfig struct {
-	// Cell is the coarse cell edge length; 0 picks 1 + max(W,H)/64.
-	Cell int
-	// Dirs are the per-layer preferred directions (tracks.Layer.Dir).
-	// When nil, both axes weigh 1 on every layer and π_R degenerates to
-	// a via-exact PFuture.
-	Dirs []geom.Direction
-	// Blocked reports whether the coarse cell (rect on layer z) is
-	// impassable. Only report true when the cell is genuinely fully
-	// blocked, otherwise the bound becomes inadmissible.
-	Blocked func(z int, cellRect geom.Rect) bool
-}
-
-// NewRFuture builds π_R over bounds. targets maps layer → covering
-// rectangles of the target vertices on that layer.
-func NewRFuture(numLayers int, costs Costs, targets map[int][]geom.Rect,
-	bounds geom.Rect, cfg RFutureConfig) *RFuture {
-	h := NewHFuture(numLayers, costs, targets)
-	cell := cfg.Cell
-	if cell <= 0 {
-		cell = 1 + max(bounds.W(), bounds.H())/64
-	}
-	nx := (bounds.W() + cell - 1) / cell
-	ny := (bounds.H() + cell - 1) / cell
-	if nx < 1 {
-		nx = 1
-	}
-	if ny < 1 {
-		ny = 1
-	}
-	// Per-layer axis weights: 1 along the preferred direction, BetaJog
-	// across it.
-	wx := make([]int32, numLayers)
-	wy := make([]int32, numLayers)
-	for z := 0; z < numLayers; z++ {
-		wx[z], wy[z] = 1, 1
-		if z < len(cfg.Dirs) && z < len(costs.BetaJog) {
-			if cfg.Dirs[z] == geom.Horizontal {
-				wy[z] = int32(costs.BetaJog[z])
-			} else {
-				wx[z] = int32(costs.BetaJog[z])
-			}
-		}
-	}
-	// The discretization slack generalizes PFuture's 4·cell: the true
-	// path can under-travel the modeled crossings by up to one cell per
-	// axis at each endpoint, charged at that endpoint's own layer weights
-	// — (wx[z]+wy[z])·cell at the query layer plus the worst such sum over
-	// the layers actually holding targets. All weights 1 recovers exactly
-	// PFuture's 4·cell.
-	tSide := int32(0)
-	for z := range targets {
-		if z >= 0 && z < numLayers {
-			if s := (wx[z] + wy[z]) * int32(cell); s > tSide {
-				tSide = s
-			}
-		}
-	}
-	slack := make([]int32, numLayers)
-	for z := 0; z < numLayers; z++ {
-		slack[z] = (wx[z]+wy[z])*int32(cell) + tSide
-	}
-	p := &RFuture{
-		h: h, bounds: bounds, cell: cell, nx: nx, ny: ny, layers: numLayers,
-		slack: slack,
-	}
-	n := numLayers * nx * ny
-	p.dist = make([]int32, n)
-	for i := range p.dist {
-		p.dist[i] = -1
-	}
-	blocked := make([]bool, n)
-	if cfg.Blocked != nil {
-		for z := 0; z < numLayers; z++ {
-			for cy := 0; cy < ny; cy++ {
-				for cx := 0; cx < nx; cx++ {
-					blocked[p.idx(cx, cy, z)] = cfg.Blocked(z, p.cellRect(cx, cy))
-				}
-			}
-		}
-	}
-
-	// Multi-source backward Dijkstra from target cells under the
-	// anisotropic weights.
-	var pq distHeap
-	push := func(cx, cy, z int, d int32) {
-		if cx < 0 || cx >= nx || cy < 0 || cy >= ny || z < 0 || z >= numLayers {
-			return
-		}
-		i := p.idx(cx, cy, z)
-		if blocked[i] {
-			return
-		}
-		if p.dist[i] >= 0 && p.dist[i] <= d {
-			return
-		}
-		p.dist[i] = d
-		pq.push(distItem{d: d, node: int32(i)})
-	}
-	for z, rs := range targets {
-		for _, r := range rs {
-			c0x, c0y := p.cellOf(r.XMin, r.YMin)
-			c1x, c1y := p.cellOf(r.XMax, r.YMax)
-			for cy := c0y; cy <= c1y; cy++ {
-				for cx := c0x; cx <= c1x; cx++ {
-					push(cx, cy, z, 0)
-				}
-			}
-		}
-	}
-	for {
-		it, ok := pq.pop()
-		if !ok {
-			break
-		}
-		i := int(it.node)
-		if p.dist[i] != it.d {
-			continue
-		}
-		z := i / (nx * ny)
-		rem := i % (nx * ny)
-		cy, cx := rem/nx, rem%nx
-		stepX := wx[z] * int32(cell)
-		stepY := wy[z] * int32(cell)
-		push(cx-1, cy, z, it.d+stepX)
-		push(cx+1, cy, z, it.d+stepX)
-		push(cx, cy-1, z, it.d+stepY)
-		push(cx, cy+1, z, it.d+stepY)
-		if z > 0 {
-			push(cx, cy, z-1, it.d+int32(costs.GammaVia[z-1]))
-		}
-		if z+1 < numLayers {
-			push(cx, cy, z+1, it.d+int32(costs.GammaVia[z]))
-		}
-	}
-	return p
-}
-
-func (p *RFuture) idx(cx, cy, z int) int { return (z*p.ny+cy)*p.nx + cx }
-
-func (p *RFuture) cellOf(x, y int) (int, int) {
-	cx := (x - p.bounds.XMin) / p.cell
-	cy := (y - p.bounds.YMin) / p.cell
-	if cx < 0 {
-		cx = 0
-	} else if cx >= p.nx {
-		cx = p.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= p.ny {
-		cy = p.ny - 1
-	}
-	return cx, cy
-}
-
-func (p *RFuture) cellRect(cx, cy int) geom.Rect {
-	return geom.Rect{
-		XMin: p.bounds.XMin + cx*p.cell,
-		YMin: p.bounds.YMin + cy*p.cell,
-		XMax: p.bounds.XMin + (cx+1)*p.cell,
-		YMax: p.bounds.YMin + (cy+1)*p.cell,
-	}
-}
-
-// At returns π_R(x, y, z) ≥ π_H(x, y, z). Like PFuture.At, the coarse
-// distance is slacked for admissibility and the potential can still be
-// locally infeasible across cell boundaries (bounded by one cell at the
-// crossing axis' layer weight); the label-correcting interval search
-// keeps results exact regardless.
-func (p *RFuture) At(x, y, z int) int {
-	hb := p.h.At(x, y, z)
-	cx, cy := p.cellOf(x, y)
-	d := p.dist[p.idx(cx, cy, z)]
-	if d < 0 {
-		return hb
-	}
-	rb := int(d) - int(p.slack[z])
-	if rb > hb {
-		return rb
-	}
-	return hb
-}
-
-// NoteDirty records that the cost landscape changed inside rect on layer
-// z (an obstacle appeared or vanished, a cell's blockage verdict may have
-// flipped). Cached reduced-graph future costs whose bounds intersect a
-// region dirtied after they were built are invalidated exactly; entries
-// elsewhere keep serving (their rebuild would be bit-identical, so reuse
-// never changes results — only speed). A negative z marks every layer.
-func (e *Engine) NoteDirty(z int, rect geom.Rect) {
-	fc := &e.fc
-	fc.dirtyGen++
-	if len(fc.dirtyLog) >= dirtyLogCap {
-		// Compaction: dropping the whole cache lets the log restart while
-		// keeping the invariant "entry valid ⇔ no intersecting dirty
-		// region since its generation".
-		fc.rf = fc.rf[:0]
-		fc.dirtyLog = fc.dirtyLog[:0]
-	}
-	fc.dirtyLog = append(fc.dirtyLog, dirtyRegion{gen: fc.dirtyGen, z: z, r: rect})
-}
-
-// rfValid reports whether entry en survives every dirty region recorded
-// after it was built, advancing its generation when it does (so later
-// checks scan only new log entries).
-func (fc *futureCache) rfValid(en *rfEntry) bool {
-	if en.gen == fc.dirtyGen {
-		return true
-	}
-	for i := len(fc.dirtyLog) - 1; i >= 0; i-- {
-		dr := &fc.dirtyLog[i]
-		if dr.gen <= en.gen {
-			break
-		}
-		if (dr.z < 0 || dr.z < en.nl) && !dr.r.Intersection(en.bounds).Empty() {
-			return false
-		}
-	}
-	en.gen = fc.dirtyGen
-	return true
-}
-
-// RFutureFor returns the reduced-graph future cost for the given net and
-// parameters, serving it from the engine's LRU when an entry with the
-// identical parameter set exists and no intersecting NoteDirty region
-// was recorded since it was built. blocked is consulted only on a
-// rebuild; callers must keep it consistent with the dirty log (changes
-// to the blockage landscape must be announced via NoteDirty). Cache hits
-// are counted in Stats.PiReused. Hits allocate nothing, which the
-// alloc-guard pins.
-func (e *Engine) RFutureFor(net int32, numLayers int, costs Costs, dirs []geom.Direction,
-	pts []geom.Point3, bounds geom.Rect, cell int,
-	blocked func(z int, cellRect geom.Rect) bool) *RFuture {
-	fc := &e.fc
-	for i := range fc.rf {
-		en := &fc.rf[i]
-		if en.net != net || en.nl != numLayers || en.cell != cell || en.bounds != bounds ||
-			!intsEqual(en.beta, costs.BetaJog) || !intsEqual(en.gamma, costs.GammaVia) ||
-			!dirsEqual(en.dirs, dirs) || !pts3Equal(en.pts, pts) {
-			continue
-		}
-		if !fc.rfValid(en) {
-			// Exact invalidation: drop the entry and rebuild below.
-			fc.rf[i] = fc.rf[len(fc.rf)-1]
-			fc.rf = fc.rf[:len(fc.rf)-1]
-			break
-		}
-		fc.rfClock++
-		en.stamp = fc.rfClock
-		e.total.PiReused++
-		return en.rf
-	}
-
-	targets := make(map[int][]geom.Rect, len(pts))
-	for _, p := range pts {
-		targets[p.Z] = append(targets[p.Z], geom.Rect{XMin: p.X, YMin: p.Y, XMax: p.X + 1, YMax: p.Y + 1})
-	}
-	rf := NewRFuture(numLayers, costs, targets, bounds,
-		RFutureConfig{Cell: cell, Dirs: dirs, Blocked: blocked})
-
-	fc.rfClock++
-	en := rfEntry{
-		net: net, nl: numLayers, cell: cell, bounds: bounds,
-		beta:  append([]int(nil), costs.BetaJog...),
-		gamma: append([]int(nil), costs.GammaVia...),
-		dirs:  append([]geom.Direction(nil), dirs...),
-		pts:   append([]geom.Point3(nil), pts...),
-		rf:    rf, gen: fc.dirtyGen, stamp: fc.rfClock,
-	}
-	if len(fc.rf) < rfCacheSize {
-		fc.rf = append(fc.rf, en)
-	} else {
-		oldest := 0
-		for i := 1; i < len(fc.rf); i++ {
-			if fc.rf[i].stamp < fc.rf[oldest].stamp {
-				oldest = i
-			}
-		}
-		fc.rf[oldest] = en
-	}
-	return rf
-}
-
-func dirsEqual(a, b []geom.Direction) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -73,9 +73,8 @@ func trackVertices(w *testWorld) []geom.Point3 {
 
 // buildFutures constructs every FutureCost implementation over the
 // scenario, returning name → π plus the per-π feasibility slack the
-// coarse grids are allowed (0 for the exact π_H; one cell at the
-// crossing axis' heaviest weight for the quantized grids, as documented
-// on PFuture.At / RFuture.At).
+// coarse grid is allowed (0 for the exact π_H; one cell for the
+// quantized grid, as documented on PFuture.At).
 func buildFutures(sc futureScenario, cell int) (map[string]FutureCost, map[string]int) {
 	bounds := sc.world.tg.Area
 	blocked := func(z int, cellRect geom.Rect) bool {
@@ -86,23 +85,13 @@ func buildFutures(sc futureScenario, cell int) (map[string]FutureCost, map[strin
 		}
 		return false
 	}
-	dirs := make([]geom.Direction, len(sc.world.tg.Layers))
-	betaMax := 1
-	for z := range dirs {
-		dirs[z] = sc.world.tg.Layers[z].Dir
-		if sc.costs.BetaJog[z] > betaMax {
-			betaMax = sc.costs.BetaJog[z]
-		}
-	}
-	nl := len(dirs)
+	nl := len(sc.world.tg.Layers)
 	pis := map[string]FutureCost{
 		"HFuture": NewHFuture(nl, sc.costs, sc.targets),
 		"PFuture": NewPFuture(nl, sc.costs, sc.targets, bounds,
 			PFutureConfig{Cell: cell, Blocked: blocked}),
-		"RFuture": NewRFuture(nl, sc.costs, sc.targets, bounds,
-			RFutureConfig{Cell: cell, Dirs: dirs, Blocked: blocked}),
 	}
-	slack := map[string]int{"HFuture": 0, "PFuture": cell, "RFuture": betaMax * cell}
+	slack := map[string]int{"HFuture": 0, "PFuture": cell}
 	return pis, slack
 }
 
@@ -236,10 +225,10 @@ func TestFutureAdmissibility(t *testing.T) {
 	}
 }
 
-// TestFutureDominance asserts the coarse-grid bounds never fall below
-// π_H pointwise (both take the max with it by construction) and that the
-// reduced grid actually strengthens the bound somewhere on the detour
-// scenario — otherwise the stronger machinery is dead weight.
+// TestFutureDominance asserts the coarse-grid bound never falls below
+// π_H pointwise (it takes the max with it by construction) and that it
+// actually strengthens the bound somewhere on the detour scenario —
+// otherwise the stronger machinery is dead weight.
 func TestFutureDominance(t *testing.T) {
 	const cell = 40
 	for _, sc := range futureScenarios() {
@@ -248,105 +237,32 @@ func TestFutureDominance(t *testing.T) {
 		stronger := 0
 		for _, u := range trackVertices(sc.world) {
 			hb := h.At(u.X, u.Y, u.Z)
-			for _, name := range []string{"PFuture", "RFuture"} {
-				if got := pis[name].At(u.X, u.Y, u.Z); got < hb {
-					t.Fatalf("%s/%s: %d < π_H %d at %v", sc.name, name, got, hb, u)
-				}
+			got := pis["PFuture"].At(u.X, u.Y, u.Z)
+			if got < hb {
+				t.Fatalf("%s/PFuture: %d < π_H %d at %v", sc.name, got, hb, u)
 			}
-			if pis["RFuture"].At(u.X, u.Y, u.Z) > hb {
+			if got > hb {
 				stronger++
 			}
 		}
 		if sc.name == "wall" && stronger == 0 {
-			t.Fatalf("%s: π_R never exceeds π_H despite the wall", sc.name)
+			t.Fatalf("%s: π_P never exceeds π_H despite the wall", sc.name)
 		}
-	}
-}
-
-// TestRFutureCacheReuse pins the engine-side incremental reuse contract:
-// identical re-queries hit (counted in PiReused, pointer-identical), a
-// NoteDirty region intersecting the entry's bounds invalidates exactly,
-// disjoint dirty regions do not, parameter changes rebuild, and the LRU
-// stays bounded.
-func TestRFutureCacheReuse(t *testing.T) {
-	sc := futureScenarios()[1] // wall
-	dirs := make([]geom.Direction, len(sc.world.tg.Layers))
-	for z := range dirs {
-		dirs[z] = sc.world.tg.Layers[z].Dir
-	}
-	blocked := func(z int, cellRect geom.Rect) bool { return false }
-	bounds := sc.world.tg.Area
-	e := NewEngine()
-
-	rf1 := e.RFutureFor(1, 4, sc.costs, dirs, sc.T, bounds, 40, blocked)
-	base := e.Stats().PiReused
-	rf2 := e.RFutureFor(1, 4, sc.costs, dirs, sc.T, bounds, 40, blocked)
-	if rf1 != rf2 || e.Stats().PiReused != base+1 {
-		t.Fatalf("identical re-query did not hit (reused %d -> %d)", base, e.Stats().PiReused)
-	}
-
-	// A dirty region outside the entry's bounds must not invalidate.
-	e.NoteDirty(0, geom.R(10000, 10000, 10010, 10010))
-	if rf3 := e.RFutureFor(1, 4, sc.costs, dirs, sc.T, bounds, 40, blocked); rf3 != rf1 {
-		t.Fatal("disjoint dirty region invalidated the cache")
-	}
-	// A dirty region intersecting the bounds must.
-	e.NoteDirty(0, geom.R(100, 100, 120, 120))
-	if rf4 := e.RFutureFor(1, 4, sc.costs, dirs, sc.T, bounds, 40, blocked); rf4 == rf1 {
-		t.Fatal("intersecting dirty region did not invalidate")
-	}
-	// Changed targets rebuild.
-	T2 := append(append([]geom.Point3(nil), sc.T...), geom.Pt3(25, 25, 1))
-	if rf5 := e.RFutureFor(1, 4, sc.costs, dirs, T2, bounds, 40, blocked); rf5 == rf1 {
-		t.Fatal("changed targets served a stale π")
-	}
-	// The LRU holds rfCacheSize entries; a sweep of distinct nets evicts
-	// the oldest, and the evicted net rebuilds (no hit).
-	for net := int32(10); net < int32(10+rfCacheSize); net++ {
-		e.RFutureFor(net, 4, sc.costs, dirs, sc.T, bounds, 40, blocked)
-	}
-	reused := e.Stats().PiReused
-	e.RFutureFor(1, 4, sc.costs, dirs, T2, bounds, 40, blocked)
-	if e.Stats().PiReused != reused {
-		t.Fatal("evicted entry claimed a cache hit")
-	}
-	if len(e.fc.rf) > rfCacheSize {
-		t.Fatalf("cache grew to %d entries (cap %d)", len(e.fc.rf), rfCacheSize)
 	}
 }
 
 // TestFutureSteadyStateAllocs pins the alloc budget of future-cost
-// construction in steady state: engine-cached π requests (the rip-up
-// retry / ECO re-query path) must not allocate at all.
+// construction in steady state: an engine-cached π_H request (the
+// rip-up retry path) must not allocate at all.
 func TestFutureSteadyStateAllocs(t *testing.T) {
 	sc := futureScenarios()[0]
-	dirs := make([]geom.Direction, len(sc.world.tg.Layers))
-	for z := range dirs {
-		dirs[z] = sc.world.tg.Layers[z].Dir
-	}
-	blocked := func(z int, cellRect geom.Rect) bool { return false }
-	bounds := sc.world.tg.Area
 	e := NewEngine()
-	e.RFutureFor(3, 4, sc.costs, dirs, sc.T, bounds, 40, blocked)
 	e.HFutureFor(3, 4, sc.costs, sc.T)
 	allocs := testing.AllocsPerRun(100, func() {
-		e.RFutureFor(3, 4, sc.costs, dirs, sc.T, bounds, 40, blocked)
 		e.HFutureFor(3, 4, sc.costs, sc.T)
 	})
 	if allocs > 0 {
 		t.Fatalf("cached future-cost requests allocate %.1f/op, want 0", allocs)
-	}
-}
-
-// TestRFutureEmptyTargets mirrors TestHFutureNoTargets: with nothing to
-// aim at, π must be identically zero (a feasible no-op potential).
-func TestRFutureEmptyTargets(t *testing.T) {
-	rf := NewRFuture(4, UniformCosts(4, 3, 50), nil, geom.R(0, 0, 300, 300),
-		RFutureConfig{Cell: 40})
-	for _, p := range []geom.Point3{geom.Pt3(0, 0, 0), geom.Pt3(150, 150, 2)} {
-		if got := rf.At(p.X, p.Y, p.Z); got != 0 {
-			t.Fatalf("π_R%v = %d, want 0", p, got)
-		}
 	}
 }
 

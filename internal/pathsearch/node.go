@@ -65,7 +65,7 @@ func (e *Engine) NodeSearch(cfg *Config, S, T []geom.Point3) *Path {
 	e.beginSearch(cfg)
 	e.nodes = e.nodes[:0]
 	e.nodeTab.reset(e.epoch)
-	e.npq.reset(!cfg.ForceHeapQueue && e.maxNodeKeyStep(cfg) < bucketWindow)
+	e.npq = e.npq[:0]
 	p := e.runNode(S, T)
 	e.endSearch()
 	e.cfg = nil
@@ -107,11 +107,8 @@ func (e *Engine) runNode(S, T []geom.Point3) *Path {
 	var bestSi int32 = -1
 	best := inf
 	pops := 0
-	for {
-		it, ok := e.npq.pop()
-		if !ok {
-			break
-		}
+	for len(e.npq) > 0 {
+		it := e.npq.pop()
 		si := it.label
 		st := &e.nodes[si]
 		if st.done || it.key != st.dist+e.pi(int(st.z), int(st.ti), st.along) {
@@ -123,11 +120,9 @@ func (e *Engine) runNode(S, T []geom.Point3) *Path {
 			best = st.dist
 			bestSi = si
 			// First settled target is optimal under feasible π — π_H is
-			// exactly feasible (property-tested). The coarse-grid π_P/π_R
-			// can violate feasibility by up to one cell at the crossing
-			// axis' layer weight, which only the label-correcting interval
-			// search absorbs; detail's futureCost therefore pins NodeSearch
-			// flows to π_H whatever FutureMode says.
+			// exactly feasible (property-tested). The coarse-grid π_P can
+			// violate feasibility by up to one cell, which only the
+			// label-correcting interval search absorbs.
 			break
 		}
 		e.nbrBuf = e.nodeNeighbors(e.nbrBuf[:0], int(st.z), int(st.ti), st.along)

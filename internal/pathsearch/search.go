@@ -30,11 +30,6 @@ type Config struct {
 	// SpreadCost adds wire-spreading cost for using track positions
 	// [lo, hi] of track trackIdx on layer z (§4.2); nil disables.
 	SpreadCost func(z, trackIdx, lo, hi int) int
-	// ForceHeapQueue disables the Dial bucket priority queue and always
-	// uses the binary-heap fallback. Pop order is identical either way
-	// (both break key ties by insertion order); the flag exists for
-	// ablation benchmarks and queue-equivalence tests.
-	ForceHeapQueue bool
 
 	// WireRuns visits the Need runs of the preferred-direction wire model
 	// along track trackIdx of layer z, clipped to [lo, hi]; gaps are
@@ -329,9 +324,9 @@ func (e *Engine) run(S, T []geom.Point3) *Path {
 		e.addLabel(iv, pos, key, -1, 0)
 	}
 
-	for {
-		it, ok := e.pq.pop()
-		if !ok || it.key >= e.best {
+	for len(e.pq) > 0 {
+		it := e.pq.pop()
+		if it.key >= e.best {
 			break
 		}
 		e.stats.HeapPops++

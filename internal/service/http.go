@@ -53,10 +53,6 @@ type OptionsWire struct {
 	PowerCap     float64 `json:"power_cap,omitempty"`
 	SkipGlobal   bool    `json:"skip_global,omitempty"`
 	UsePFuture   bool    `json:"use_pfuture,omitempty"`
-	// FutureMode selects the detailed-routing future-cost family:
-	// 0 legacy π_H, 1 per-net auto (reduced-graph π_R for large nets),
-	// 2 always reduced-graph.
-	FutureMode   int     `json:"future_mode,omitempty"`
 	EcoThreshold float64 `json:"eco_threshold,omitempty"`
 	// ExactSteinerMax is the net-degree threshold for the exact
 	// goal-oriented Steiner oracle in global routing (0 = default 9,
@@ -69,7 +65,6 @@ func (o OptionsWire) toOptions() bonnroute.Options {
 		Seed: o.Seed, Workers: o.Workers, GlobalPhases: o.GlobalPhases,
 		TileTracks: o.TileTracks, PowerCap: o.PowerCap,
 		SkipGlobal: o.SkipGlobal, UsePFuture: o.UsePFuture,
-		FutureMode:      bonnroute.FutureMode(o.FutureMode),
 		EcoThreshold:    o.EcoThreshold,
 		ExactSteinerMax: o.ExactSteinerMax,
 	}

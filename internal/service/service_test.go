@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"bonnroute"
+	"bonnroute/internal/incremental"
 	"bonnroute/internal/verify"
 )
 
@@ -372,7 +373,7 @@ func TestAdmissionControl(t *testing.T) {
 
 // TestServiceEcoBitIdentical is the differential test: an ECO applied
 // through the daemon (JSON over HTTP, session machinery, admission)
-// must produce the bit-identical result of a direct bonnroute.Reroute
+// must produce the bit-identical result of a direct incremental.Reroute
 // with the same seed and options.
 func TestServiceEcoBitIdentical(t *testing.T) {
 	svc := New(Config{})
@@ -409,7 +410,7 @@ func TestServiceEcoBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := bonnroute.Route(context.Background(), c, bonnroute.WithSeed(31))
-	directEco, _, err := bonnroute.Reroute(context.Background(), direct, delta2, bonnroute.WithSeed(31))
+	directEco, _, err := incremental.Reroute(context.Background(), direct, delta2, bonnroute.Options{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ var ErrCancelled = errors.New("bonnroute: routing cancelled")
 
 // Session pins a chip together with its finished routing Result and the
 // exact Options the result was produced with. It exists to remove the
-// pairing hazard of the bare Reroute function: an ECO applied with
+// pairing hazard of a bare incremental.Reroute call: an ECO applied with
 // options that differ from the previous run's (above all the seed)
 // silently loses the determinism contract. A Session cannot get into
 // that state — every Reroute reuses the pinned options.

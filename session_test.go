@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"bonnroute"
+	"bonnroute/internal/chip"
+	"bonnroute/internal/incremental"
 )
 
 func sessionChip() *bonnroute.Chip {
@@ -15,7 +17,7 @@ func sessionChip() *bonnroute.Chip {
 }
 
 // A session reroute with the pinned options must be bit-equal in the
-// headline metrics to the deprecated bare Reroute fed the same options
+// headline metrics to a bare incremental.Reroute fed the same options
 // by hand — the session only removes the pairing hazard, it must not
 // change results.
 func TestSessionMatchesBareReroute(t *testing.T) {
@@ -32,7 +34,7 @@ func TestSessionMatchesBareReroute(t *testing.T) {
 	delta := bonnroute.RandomDelta(s.Chip(), 7, bonnroute.EcoGenConfig{})
 
 	prev := bonnroute.Route(ctx, sessionChip(), opts...)
-	want, wantStats, err := bonnroute.Reroute(ctx, prev, delta, opts...)
+	want, wantStats, err := incremental.Reroute(ctx, prev, delta, bonnroute.Options{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +129,65 @@ func TestSessionFromResult(t *testing.T) {
 	}
 	if _, err := bonnroute.SessionFromResult(nil); err == nil {
 		t.Fatal("nil result must be rejected")
+	}
+}
+
+// outcome is the deterministic part of a Table-I row.
+type outcome struct {
+	Nets, Unrouted, Vias, Errors int
+	Netlength                    int64
+}
+
+func outcomeOf(res *bonnroute.Result) outcome {
+	m := res.Metrics
+	return outcome{m.Nets, m.Unrouted, m.Vias, m.Errors, m.Netlength}
+}
+
+// TestOutcomePins pins absolute routing outcomes: two fixed scale-tier
+// chips routed from scratch at Workers 1 and 2, and a session on the
+// larger one driven through two seeded ECO deltas (whose dirty nets
+// include ones that exhaust their rip-up retries). Routing is
+// deterministic, so a change meant as plumbing — a queue, a cache, an
+// options path — must leave every literal below untouched; a change
+// that moves one is a quality change and has to say so.
+func TestOutcomePins(t *testing.T) {
+	ctx := context.Background()
+	var last *bonnroute.Result
+	for _, tc := range []struct {
+		nets int
+		seed int64
+		want outcome
+	}{
+		{30, 3, outcome{Nets: 30, Unrouted: 2, Vias: 42, Errors: 10, Netlength: 35152}},
+		{120, 4, outcome{Nets: 120, Unrouted: 2, Vias: 129, Errors: 76, Netlength: 121718}},
+	} {
+		c := bonnroute.GenerateChip(chip.ScaledParams("pin", tc.seed, tc.nets))
+		for _, workers := range []int{2, 1} {
+			last = bonnroute.Route(ctx, c, bonnroute.WithSeed(tc.seed), bonnroute.WithWorkers(workers))
+			if got := outcomeOf(last); got != tc.want {
+				t.Errorf("%d nets, seed %d, workers %d: got %+v, want %+v", tc.nets, tc.seed, workers, got, tc.want)
+			}
+		}
+	}
+
+	// last is the 120-net chip's Workers=1 result, routed with seed 4.
+	s, err := bonnroute.SessionFromResult(last, bonnroute.WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []outcome{
+		{Nets: 120, Unrouted: 2, Vias: 128, Errors: 70, Netlength: 122263},
+		{Nets: 120, Unrouted: 2, Vias: 126, Errors: 70, Netlength: 121241},
+	} {
+		res, st, err := s.Reroute(ctx, bonnroute.RandomDelta(s.Chip(), int64(11+i), bonnroute.EcoGenConfig{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FellBack {
+			t.Fatalf("reroute %d fell back to a full run; the pin must cover the incremental path", i)
+		}
+		if got := outcomeOf(res); got != want {
+			t.Errorf("reroute %d: got %+v, want %+v", i, got, want)
+		}
 	}
 }
