@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race test-race vet bench-build bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
+.PHONY: all build test race test-race vet fmt bench-build bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
 
 all: build
 
@@ -29,6 +29,11 @@ test-race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when any tracked Go file is not
+# gofmt-clean.
+fmt:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; test -z "$$out" || { echo "$$out"; exit 1; }
 
 # bench-build compiles, vets and tests the judge: bench/ is a module of
 # its own that imports bonnroute/internal/... through a replace, outside
@@ -117,7 +122,7 @@ service-smoke:
 steiner-smoke:
 	$(GO) test -run 'TestExactDifferential|TestExactPlanarMatchesRSMT' ./internal/steiner
 
-# check is the pre-merge gate: vet, build, the full test suite, the
+# check is the pre-merge gate: vet, gofmt, build, the full test suite, the
 # benchmark module's build and tests, the targeted race lane, the
 # benchmark smoke test, the trace smoke test,
 # the verifier fuzz sweeps (plain, ECO, and scale), the Steiner oracle
@@ -125,7 +130,7 @@ steiner-smoke:
 # budgets), the service daemon round-trip, and the 10⁴-net scale smoke.
 # (`make race` — the whole suite under -race — stays available as the
 # long-form lane.)
-check: vet build test bench-build test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke steiner-smoke alloc-guard service-smoke scale-smoke
+check: vet fmt build test bench-build test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke steiner-smoke alloc-guard service-smoke scale-smoke
 
 # bench-json regenerates the committed benchmark artifact (small suite
 # plus the path-search micro-benchmarks). Each chip's ISR and BR+cleanup

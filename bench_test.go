@@ -14,7 +14,7 @@
 //	BenchmarkFig5TauFeasible     — τ-feasible off-track search
 //	BenchmarkIntervalVsNode*     — Algorithm 4 vs node Dijkstra (§4.1 ≥6×)
 //	BenchmarkFastGrid*           — fast grid on/off (§3.6 5.29×, 97.89 %)
-//	BenchmarkFutureCosts*        — none vs π_H vs π_P
+//	BenchmarkFutureCosts*        — none vs π_H
 //	BenchmarkSharingConvergence  — λ vs phase count t (§2.3 t=125, ε=1)
 //	BenchmarkRoundingRepair      — §2.4 rounding/repair statistics
 //	BenchmarkSteinerOracleRoot   — §2.2 oracle timing (≈0.3 ms in paper)
@@ -430,10 +430,6 @@ func BenchmarkFutureCosts(b *testing.B) {
 	mk("none", nil)
 	mk("piH", func(costs pathsearch.Costs) pathsearch.FutureCost {
 		return pathsearch.NewHFuture(4, costs, map[int][]geom.Rect{0: {geom.R(7780, 20, 7781, 21)}})
-	})
-	mk("piP", func(costs pathsearch.Costs) pathsearch.FutureCost {
-		return pathsearch.NewPFuture(4, costs, map[int][]geom.Rect{0: {geom.R(7780, 20, 7781, 21)}},
-			geom.R(0, 0, 8000, 8000), pathsearch.PFutureConfig{Cell: 320})
 	})
 }
 

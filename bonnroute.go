@@ -19,7 +19,7 @@
 //	fmt.Println(res.Metrics)
 //
 // Runs are configured with functional options (WithWorkers, WithSeed,
-// WithTracer, WithGlobalConfig, WithDetailConfig, ...); the context
+// WithTracer, WithPhases, WithoutGlobal, ...); the context
 // carries cancellation — cancel it and the flow stops at the next stage,
 // phase or round boundary and returns a partial Result with Cancelled
 // set. Attach a Tracer (NewTracer over JSONL, progress or in-memory
@@ -117,101 +117,9 @@ func NewProgressSink(w io.Writer) *obs.ProgressSink { return obs.NewProgressSink
 // NewMemorySink collects records in memory for inspection (tests).
 func NewMemorySink() *MemorySink { return obs.NewMemorySink() }
 
-// GlobalConfig collects the global-routing knobs for WithGlobalConfig.
-//
-// A plain struct literal keeps the historical merge semantics: zero
-// fields leave whatever an earlier option set. That makes zero and
-// false inexpressible from a literal, so every field also has a SetX
-// accessor that marks it explicitly set — SetPowerCap(0) really
-// disables the power resource and SetSkip(false) really re-enables
-// global routing, where the literal forms would silently be no-ops.
-type GlobalConfig struct {
-	// Phases is Algorithm 2's t (default 32).
-	Phases int
-	// TileTracks sets the global tile size in tracks (default 8).
-	TileTracks int
-	// PowerCap enables the power resource when positive.
-	PowerCap float64
-	// Skip routes without global guidance (detailed-only mode).
-	Skip bool
-	// ExactSteiner is the net-degree threshold for the exact
-	// goal-oriented Steiner oracle: nets whose terminals merge to at
-	// most this many groups get provably minimum trees, larger nets the
-	// Path Composition heuristic. 0 keeps the core default (9); use
-	// SetExactSteiner(-1) to disable the exact oracle entirely.
-	ExactSteiner int
-
-	set uint8
-}
-
-const (
-	gcPhases = 1 << iota
-	gcTileTracks
-	gcPowerCap
-	gcSkip
-	gcExactSteiner
-)
-
-// SetPhases returns a copy with Phases explicitly set; 0 restores the
-// core default (32) even when an earlier option raised it.
-func (g GlobalConfig) SetPhases(n int) GlobalConfig {
-	g.Phases, g.set = n, g.set|gcPhases
-	return g
-}
-
-// SetTileTracks returns a copy with TileTracks explicitly set; 0
-// restores the core default (8).
-func (g GlobalConfig) SetTileTracks(n int) GlobalConfig {
-	g.TileTracks, g.set = n, g.set|gcTileTracks
-	return g
-}
-
-// SetPowerCap returns a copy with PowerCap explicitly set; 0 disables
-// the power resource even when an earlier option enabled it.
-func (g GlobalConfig) SetPowerCap(v float64) GlobalConfig {
-	g.PowerCap, g.set = v, g.set|gcPowerCap
-	return g
-}
-
-// SetSkip returns a copy with Skip explicitly set; false re-enables
-// global routing even after WithoutGlobal or an earlier Skip.
-func (g GlobalConfig) SetSkip(b bool) GlobalConfig {
-	g.Skip, g.set = b, g.set|gcSkip
-	return g
-}
-
-// SetExactSteiner returns a copy with ExactSteiner explicitly set: 0
-// restores the core default threshold (9) even when an earlier option
-// changed it, and negative values disable the exact oracle — both
-// inexpressible from a struct literal, whose zero field merely merges.
-func (g GlobalConfig) SetExactSteiner(n int) GlobalConfig {
-	g.ExactSteiner, g.set = n, g.set|gcExactSteiner
-	return g
-}
-
-// DetailConfig collects the detailed-routing knobs for WithDetailConfig.
-// Like GlobalConfig, struct-literal fields merge (zero keeps earlier
-// settings) and SetX accessors set explicitly, including to false.
-type DetailConfig struct {
-	// UsePFuture enables the blockage-aware future cost (§3.5).
-	UsePFuture bool
-
-	set uint8
-}
-
-const (
-	dcUsePFuture = 1 << iota
-)
-
-// SetUsePFuture returns a copy with UsePFuture explicitly set; false
-// disables the blockage-aware future cost even when an earlier option
-// enabled it.
-func (d DetailConfig) SetUsePFuture(b bool) DetailConfig {
-	d.UsePFuture, d.set = b, d.set|dcUsePFuture
-	return d
-}
-
-// Option configures a routing run.
+// Option configures a routing run. Options apply in order and a later
+// one overrides an earlier one, so a zero value (WithPhases(0),
+// WithPowerCap(0), ...) restores the default.
 type Option func(*core.Options)
 
 // WithWorkers sets the parallelism of both routing stages (default 1).
@@ -223,46 +131,26 @@ func WithSeed(seed int64) Option { return func(o *core.Options) { o.Seed = seed 
 // WithTracer attaches an observability tracer; nil disables tracing.
 func WithTracer(t *Tracer) Option { return func(o *core.Options) { o.Tracer = t } }
 
-// WithGlobalConfig applies the global-routing configuration. Fields of
-// a plain struct literal merge: zero values keep whatever is already
-// set. Fields marked with the SetX accessors apply unconditionally,
-// which is the only way to express zero and false (SetPowerCap(0),
-// SetSkip(false), ...).
-func WithGlobalConfig(g GlobalConfig) Option {
-	return func(o *core.Options) {
-		if g.Phases > 0 || g.set&gcPhases != 0 {
-			o.GlobalPhases = g.Phases
-		}
-		if g.TileTracks > 0 || g.set&gcTileTracks != 0 {
-			o.TileTracks = g.TileTracks
-		}
-		if g.PowerCap > 0 || g.set&gcPowerCap != 0 {
-			o.PowerCap = g.PowerCap
-		}
-		if g.set&gcSkip != 0 {
-			o.SkipGlobal = g.Skip
-		} else if g.Skip {
-			o.SkipGlobal = true
-		}
-		if g.ExactSteiner != 0 || g.set&gcExactSteiner != 0 {
-			o.ExactSteinerMax = g.ExactSteiner
-		}
-	}
-}
+// WithPhases sets the phase count t of the resource-sharing global
+// router (Algorithm 2); 0 selects the default (32).
+func WithPhases(n int) Option { return func(o *core.Options) { o.GlobalPhases = n } }
 
-// WithDetailConfig applies the detailed-routing configuration, with the
-// same merge-vs-explicit semantics as WithGlobalConfig.
-func WithDetailConfig(d DetailConfig) Option {
-	return func(o *core.Options) {
-		if d.set&dcUsePFuture != 0 {
-			o.UsePFuture = d.UsePFuture
-		} else if d.UsePFuture {
-			o.UsePFuture = true
-		}
-	}
-}
+// WithTileTracks sets the global tile size in tracks; 0 selects the
+// default (8).
+func WithTileTracks(n int) Option { return func(o *core.Options) { o.TileTracks = n } }
 
-// WithoutGlobal is shorthand for WithGlobalConfig(GlobalConfig{Skip: true}).
+// WithPowerCap enables the power resource of global routing when
+// positive; 0 disables it.
+func WithPowerCap(v float64) Option { return func(o *core.Options) { o.PowerCap = v } }
+
+// WithExactSteiner sets the net-degree threshold for the exact
+// goal-oriented Steiner oracle: nets whose terminals merge to at most n
+// groups get provably minimum trees, larger nets the Path Composition
+// heuristic. 0 selects the default (9); negative disables the exact
+// oracle.
+func WithExactSteiner(n int) Option { return func(o *core.Options) { o.ExactSteinerMax = n } }
+
+// WithoutGlobal routes without global guidance (detailed-only mode).
 func WithoutGlobal() Option { return func(o *core.Options) { o.SkipGlobal = true } }
 
 // WithOptions replaces the whole option struct with a caller-held

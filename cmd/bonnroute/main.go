@@ -78,7 +78,7 @@ func main() {
 	opts := []bonnroute.Option{
 		bonnroute.WithWorkers(*workers),
 		bonnroute.WithSeed(*seed),
-		bonnroute.WithGlobalConfig(bonnroute.GlobalConfig{Phases: *phases}),
+		bonnroute.WithPhases(*phases),
 		bonnroute.WithTracer(tracer),
 	}
 

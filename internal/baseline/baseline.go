@@ -168,7 +168,8 @@ type GNet struct {
 }
 
 // DetailOptions returns the detail-engine configuration that turns it
-// into the ISR-like detailed router.
+// into the ISR-like detailed router. The edge costs (β, γ) are the
+// detailed router's own; only the four ablation switches differ.
 func DetailOptions(workers int) detail.Options {
 	return detail.Options{
 		Workers:       workers,
@@ -176,9 +177,6 @@ func DetailOptions(workers int) detail.Options {
 		NoFastGrid:    true,
 		UniformTracks: true,
 		GreedyAccess:  true,
-		// Classical cost choices: cheap jogs and vias → the zigzaggy,
-		// via-heavy routes the paper's via counts reflect.
-		BetaJog: 2,
 	}
 }
 

@@ -25,43 +25,42 @@ import (
 	"bonnroute/internal/steiner"
 )
 
-// Options tune a routing run.
+// Options tune a routing run. The JSON tags are the wire form the
+// routing service accepts (zero fields take the defaults); the tracer
+// and the sharding decomposition are process-local and not on the wire.
 type Options struct {
+	// Seed drives randomized rounding.
+	Seed int64 `json:"seed,omitempty"`
 	// Workers is the parallelism for both stages. Default 1.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// GlobalPhases is Algorithm 2's t. Default 32.
-	GlobalPhases int
+	GlobalPhases int `json:"global_phases,omitempty"`
 	// TileTracks sets the global tile size in tracks (the paper uses
 	// 50–100; the synthetic chips are smaller, default 8).
-	TileTracks int
-	// Seed drives randomized rounding.
-	Seed int64
+	TileTracks int `json:"tile_tracks,omitempty"`
 	// PowerCap enables the power resource in global routing.
-	PowerCap float64
+	PowerCap float64 `json:"power_cap,omitempty"`
 	// SkipGlobal routes without global guidance (detailed-only mode).
-	SkipGlobal bool
-	// UsePFuture enables the blockage-aware future cost in detailed
-	// routing.
-	UsePFuture bool
+	SkipGlobal bool `json:"skip_global,omitempty"`
 	// EcoThreshold is the dirty-fraction above which incremental
 	// rerouting falls back to a full from-scratch run (see package
 	// incremental). Default 0.35; negative disables the fallback.
-	EcoThreshold float64
+	EcoThreshold float64 `json:"eco_threshold,omitempty"`
 	// ExactSteinerMax is the net-degree threshold for the exact
 	// goal-oriented Steiner oracle in global routing (see
 	// sharing.Options.ExactSteinerMax): 0 selects the default (exact for
 	// nets of ≤ 9 merged terminal groups), negative disables it so every
 	// oracle call uses Path Composition.
-	ExactSteinerMax int
+	ExactSteinerMax int `json:"exact_steiner_max,omitempty"`
 	// ShardTiles shards the global-routing phase work by
 	// congestion-region tiles of this many grid tiles per side (see
 	// sharing.Options.ShardTiles). Pure work decomposition — results are
 	// bit-identical with sharding on or off at any worker count. 0
 	// disables sharding.
-	ShardTiles int
+	ShardTiles int `json:"-"`
 	// Tracer receives spans, counters and events for the whole flow. A
 	// nil tracer is a no-op and costs nothing on the hot path.
-	Tracer *obs.Tracer
+	Tracer *obs.Tracer `json:"-"`
 }
 
 func (o *Options) setDefaults() {
@@ -204,7 +203,7 @@ func RouteBonnRoute(ctx context.Context, c *chip.Chip, opt Options) *Result {
 	// catalogues (§4.3) are built here, so the prep span carries the
 	// branch-and-bound effort.
 	prepSpan := root.Child("stage.prep")
-	r := detail.New(c, detail.Options{Workers: opt.Workers, UsePFuture: opt.UsePFuture})
+	r := detail.New(c, detail.Options{Workers: opt.Workers})
 	as := r.AccessStats()
 	prepSpan.End(obs.Int("access_catalogues", as.Catalogues),
 		obs.Int("access_bb_nodes", as.BBNodes),

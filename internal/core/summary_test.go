@@ -32,16 +32,32 @@ func wireSummary() ResultSummary {
 }
 
 // TestSummaryWireSchema pins the ResultSummary wire schema with a
-// golden file (regenerate with UPDATE_GOLDEN=1 go test ./internal/core)
-// and requires a clean JSON round-trip.
+// golden file and requires a clean JSON round-trip.
 func TestSummaryWireSchema(t *testing.T) {
-	v := wireSummary()
+	checkWireGolden(t, "wire_summary.golden.json", wireSummary())
+}
+
+// TestOptionsWireSchema pins the Options wire schema the routing service
+// accepts: every wire field populated, the process-local tracer and
+// sharding fields absent.
+func TestOptionsWireSchema(t *testing.T) {
+	checkWireGolden(t, "wire_options.golden.json", Options{
+		Seed: 31, Workers: 2, GlobalPhases: 16, TileTracks: 10,
+		PowerCap: 50, SkipGlobal: true, EcoThreshold: 0.5, ExactSteinerMax: 7,
+	})
+}
+
+// checkWireGolden compares v's indented JSON with testdata/name
+// (regenerate with UPDATE_GOLDEN=1 go test ./internal/core) and requires
+// the golden to decode back to v.
+func checkWireGolden[T any](t *testing.T, name string, v T) {
+	t.Helper()
 	got, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	path := filepath.Join("testdata", "wire_summary.golden.json")
+	path := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -57,7 +73,7 @@ func TestSummaryWireSchema(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("wire schema drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	var fresh ResultSummary
+	var fresh T
 	if err := json.Unmarshal(want, &fresh); err != nil {
 		t.Fatalf("golden does not unmarshal: %v", err)
 	}

@@ -109,7 +109,6 @@ func (r *Router) searchConfig(ni int, area *pathsearch.Area, pi pathsearch.Futur
 		Area:         area,
 		MaxNeed:      maxNeed,
 		RipupPenalty: penalty,
-		SpreadCost:   r.opt.SpreadCost,
 		WireRuns: func(z, ti, lo, hi int, visit func(lo, hi int, need drc.Need)) {
 			layer := &r.TG.Layers[z]
 			model := wt.Oriented(z, layer.Dir, layer.Dir)
@@ -438,7 +437,7 @@ func (r *Router) routeArea(w *worker, ni int, S, T []geom.Point3) *pathsearch.Ar
 	// §4.4: nets reconsidered after failures get an extended routing
 	// area; from the third attempt the corridor is dropped entirely.
 	attempt := r.routes[ni].attempt
-	margin := r.opt.CorridorMarginTiles * max(1, attempt)
+	margin := corridorMarginTiles * max(1, attempt)
 	useCorridor := attempt < 3
 	if useCorridor && r.corridors != nil && r.ggraph != nil && ni < len(r.corridors) && len(r.corridors[ni]) > 0 {
 		g := r.ggraph
@@ -587,7 +586,11 @@ func (r *Router) connectOnce(w *worker, ni int, comps []component, ripupBudget i
 	}
 	S := src.points
 	area := r.routeArea(w, ni, S, T)
-	pi := r.futureCost(w.e, ni, T, area)
+	// π_H toward T (DESIGN.md §12) comes from the engine's future-cost
+	// cache, which reuses the previous structure when the same net
+	// retries with unchanged targets (rip-up attempts) and memoizes via
+	// lower bounds across nets sharing target layers.
+	pi := w.e.HFutureFor(int32(ni), r.Chip.NumLayers(), r.costs, T)
 
 	var path *pathsearch.Path
 	if r.opt.NodeSearch {
@@ -618,35 +621,6 @@ func (r *Router) connectOnce(w *worker, ni int, comps []component, ripupBudget i
 	}
 	r.commitPath(ni, path)
 	return true
-}
-
-// futureCost builds the search potential π toward T (DESIGN.md §12):
-// π_H, or the blockage-aware π_P under UsePFuture. π_H comes from the
-// engine's future-cost cache, which reuses the previous structure when
-// the same net retries with unchanged targets (rip-up attempts) and
-// memoizes via lower bounds across nets sharing target layers.
-func (r *Router) futureCost(e *pathsearch.Engine, ni int, T []geom.Point3, area *pathsearch.Area) pathsearch.FutureCost {
-	if r.opt.UsePFuture {
-		targets := map[int][]geom.Rect{}
-		for _, t := range T {
-			targets[t.Z] = append(targets[t.Z], geom.Rect{XMin: t.X, YMin: t.Y, XMax: t.X + 1, YMax: t.Y + 1})
-		}
-		bounds := area.Bounds()
-		obst := r.staticObst
-		return pathsearch.NewPFuture(r.Chip.NumLayers(), r.costs, targets, bounds,
-			pathsearch.PFutureConfig{
-				Cell: 8 * r.Chip.Deck.Layers[0].Pitch,
-				Blocked: func(z int, cell geom.Rect) bool {
-					for _, o := range obst[z] {
-						if o.ContainsRect(cell) {
-							return true
-						}
-					}
-					return false
-				},
-			})
-	}
-	return e.HFutureFor(int32(ni), r.Chip.NumLayers(), r.costs, T)
 }
 
 // commitPath inserts a found path into the routing space. The striped

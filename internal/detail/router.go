@@ -25,26 +25,25 @@ import (
 	"bonnroute/internal/tracks"
 )
 
+// Fixed parameters of the detailed router, in units of the first
+// layer's pitch where they are lengths.
+const (
+	// betaJog and gammaViaPitches are the edge cost parameters β and γ
+	// of §4.1 (DESIGN.md: β = 2, γ = 4 pitches).
+	betaJog         = 2
+	gammaViaPitches = 4
+	// corridorMarginTiles widens the global-routing corridor (§4.4),
+	// once more per failed attempt.
+	corridorMarginTiles = 1
+	// accessRadiusPitches is the pin-access search radius (§4.3).
+	accessRadiusPitches = 4
+)
+
 // Options tune the detailed router.
 type Options struct {
-	// BetaJog and GammaVia are the edge cost parameters of §4.1.
-	// Defaults: 3 and 4 pitches.
-	BetaJog, GammaVia int
 	// Workers enables region-partitioned parallel routing (§5.1); ≤ 1 is
 	// serial.
 	Workers int
-	// MaxRipupDepth bounds rip-up recursion (§4.4). Default 2.
-	MaxRipupDepth int
-	// CorridorMarginTiles widens the global-routing corridor (§4.4).
-	// Default 1.
-	CorridorMarginTiles int
-	// AccessRadius is the pin-access search radius in pitches. Default 4.
-	AccessRadius int
-	// UsePFuture switches long-detour connections to the blockage-aware
-	// future cost π_P (§4.1).
-	UsePFuture bool
-	// SpreadCost is the optional wire-spreading hook (§4.2).
-	SpreadCost func(z, trackIdx, lo, hi int) int
 	// AccessCache seeds catalogue construction from a previous router's
 	// circuit-class catalogues (incremental rerouting). Every cached path
 	// is re-verified before reservation, so a cache from a different chip
@@ -77,24 +76,9 @@ type Options struct {
 	GreedyAccess  bool
 }
 
-func (o *Options) setDefaults(pitch int) {
-	if o.BetaJog <= 0 {
-		o.BetaJog = 2
-	}
-	if o.GammaVia <= 0 {
-		o.GammaVia = 4 * pitch
-	}
+func (o *Options) setDefaults() {
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.MaxRipupDepth <= 0 {
-		o.MaxRipupDepth = 2
-	}
-	if o.CorridorMarginTiles <= 0 {
-		o.CorridorMarginTiles = 1
-	}
-	if o.AccessRadius <= 0 {
-		o.AccessRadius = 4
 	}
 }
 
@@ -201,10 +185,6 @@ type Router struct {
 
 	costs  pathsearch.Costs
 	routes []netRoute
-
-	// staticObst caches the chip's fixed obstacle rects for π_P
-	// construction (committed wiring is never part of π).
-	staticObst [][]geom.Rect
 
 	// corridors[ni] holds the net's global routing tree edges (nil: no
 	// global guidance).
@@ -364,8 +344,8 @@ func buildTracks(c *chip.Chip, opt *Options, dirs []geom.Direction, obstacles []
 // New builds the routing space, tracks, fast grid, and pin-access
 // reservations for the chip.
 func New(c *chip.Chip, opt Options) *Router {
+	opt.setDefaults()
 	pitch := c.Deck.Layers[0].Pitch
-	opt.setDefaults(pitch)
 
 	dirs := make([]geom.Direction, c.NumLayers())
 	for z := range dirs {
@@ -398,9 +378,8 @@ func New(c *chip.Chip, opt Options) *Router {
 
 	r := &Router{
 		Chip: c, Space: space, TG: tg, FG: fg, opt: opt,
-		costs:      pathsearch.UniformCosts(c.NumLayers(), opt.BetaJog, opt.GammaVia),
-		routes:     make([]netRoute, len(c.Nets)),
-		staticObst: obstacles,
+		costs:  pathsearch.UniformCosts(c.NumLayers(), betaJog, gammaViaPitches*pitch),
+		routes: make([]netRoute, len(c.Nets)),
 	}
 	// Interaction margins for region-partitioned parallelism (§5.1),
 	// derived from the deck so that a worker confined to its strip
@@ -669,7 +648,7 @@ func (r *Router) prepareAccess() {
 		key := pinaccess.ClassKey(c, ci, pitch)
 		if _, ok := cats[key]; !ok {
 			cat := pinaccess.BuildCatalogue(c, r.TG, ci, pinaccess.Params{
-				Radius: r.opt.AccessRadius * pitch,
+				Radius: accessRadiusPitches * pitch,
 			})
 			cats[key] = cat
 			catCell[key] = ci

@@ -144,7 +144,7 @@ func Reroute(ctx context.Context, prev *core.Result, delta Delta, opt core.Optio
 	// hints below verifiable. Legality around the delta's new geometry is
 	// enforced by the routing space, not by track placement.
 	r2 := detail.New(c2, detail.Options{
-		Workers: opt.Workers, UsePFuture: opt.UsePFuture,
+		Workers:     opt.Workers,
 		TrackGraph:  prev.Router.TG,
 		AccessCache: prev.Router.AccessCache(),
 		AccessHints: func(pi int) *pinaccess.AccessPath { return hints[pi] },

@@ -1,11 +1,11 @@
 // Package pathsearch implements BonnRoute's on-track path search (paper
 // §4.1): a generalization of Dijkstra's algorithm that labels intervals
 // of track-graph vertices instead of single vertices (Algorithm 4, after
-// Hetzel and Peyer et al.), with goal-directed future costs π_H (ℓ1 +
-// via lower bound) and π_P (blockage-aware), rip-up cost modes, and wire
-// spreading costs (§4.2). A plain node-based Dijkstra over the same
-// implicit graph is included as the correctness reference and as the
-// baseline for the ≥6× interval-labelling speedup statistic.
+// Hetzel and Peyer et al.), with the goal-directed future cost π_H (ℓ1 +
+// via lower bound) and the rip-up cost mode of §4.2. A plain node-based
+// Dijkstra over the same implicit graph is included as the correctness
+// reference and as the baseline for the ≥6× interval-labelling speedup
+// statistic.
 package pathsearch
 
 import (
@@ -99,18 +99,6 @@ func (a *Area) AppendTrackSpans(dst []geom.Interval, z int, dir geom.Direction, 
 		}
 	}
 	return dst[:base+len(out)]
-}
-
-// Bounds returns the bounding box over all layers (used to bound
-// future-cost preprocessing).
-func (a *Area) Bounds() geom.Rect {
-	var b geom.Rect
-	for _, rs := range a.perLayer {
-		for _, r := range rs {
-			b = b.Union(r)
-		}
-	}
-	return b
 }
 
 // NumLayers returns the number of layers the area spans.

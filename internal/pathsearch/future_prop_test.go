@@ -9,7 +9,7 @@ import (
 )
 
 // futureScenario is one synthetic world + target set the future-cost
-// property tests run every π implementation against.
+// property tests run π_H against.
 type futureScenario struct {
 	name    string
 	world   *testWorld
@@ -37,9 +37,9 @@ func futureScenarios() []futureScenario {
 	return []futureScenario{
 		mk("free", []geom.Point3{geom.Pt3(245, 45, 0)}, nil),
 		mk("wall", []geom.Point3{geom.Pt3(245, 45, 0)}, func(w *testWorld) {
-			// A wall across the middle of every layer, wide enough to cover
-			// whole coarse-grid cells, leaving only a narrow corridor at the
-			// top: crossing it forces a long detour the reduced grid must see.
+			// A wall across the middle of every layer, leaving only a
+			// narrow corridor at the top: crossing it forces a long detour
+			// π_H cannot see, so admissibility is tested far from tight.
 			for z := 0; z < 4; z++ {
 				w.block(z, geom.R(120, 0, 200, 280))
 			}
@@ -71,45 +71,23 @@ func trackVertices(w *testWorld) []geom.Point3 {
 	return out
 }
 
-// buildFutures constructs every FutureCost implementation over the
-// scenario, returning name → π plus the per-π feasibility slack the
-// coarse grid is allowed (0 for the exact π_H; one cell for the
-// quantized grid, as documented on PFuture.At).
-func buildFutures(sc futureScenario, cell int) (map[string]FutureCost, map[string]int) {
-	bounds := sc.world.tg.Area
-	blocked := func(z int, cellRect geom.Rect) bool {
-		for _, r := range sc.world.blocked[z] {
-			if r.ContainsRect(cellRect) {
-				return true
-			}
-		}
-		return false
-	}
-	nl := len(sc.world.tg.Layers)
-	pis := map[string]FutureCost{
-		"HFuture": NewHFuture(nl, sc.costs, sc.targets),
-		"PFuture": NewPFuture(nl, sc.costs, sc.targets, bounds,
-			PFutureConfig{Cell: cell, Blocked: blocked}),
-	}
-	slack := map[string]int{"HFuture": 0, "PFuture": cell}
-	return pis, slack
+// hFuture builds π_H over the scenario's targets.
+func hFuture(sc futureScenario) FutureCost {
+	return NewHFuture(len(sc.world.tg.Layers), sc.costs, sc.targets)
 }
 
 // TestFutureFeasibility samples track-graph edges and asserts
-// π(u) ≤ c(u,v) + π(v) (+ the documented per-π quantization slack) for
-// every FutureCost implementation: the property the goal-directed search
+// π(u) ≤ c(u,v) + π(v) for π_H: the property the goal-directed search
 // needs for nonnegative reduced costs.
 func TestFutureFeasibility(t *testing.T) {
-	const cell = 40
 	for _, sc := range futureScenarios() {
-		pis, slack := buildFutures(sc, cell)
+		pi := hFuture(sc)
 		verts := trackVertices(sc.world)
 		rng := rand.New(rand.NewSource(7))
-		check := func(name string, pi FutureCost, u, v geom.Point3, c int) {
-			d := pi.At(u.X, u.Y, u.Z) - c - pi.At(v.X, v.Y, v.Z)
-			if d > slack[name] {
-				t.Fatalf("%s/%s: infeasible edge %v -> %v cost %d: π(u)-c-π(v) = %d > slack %d",
-					sc.name, name, u, v, c, d, slack[name])
+		check := func(u, v geom.Point3, c int) {
+			if d := pi.At(u.X, u.Y, u.Z) - c - pi.At(v.X, v.Y, v.Z); d > 0 {
+				t.Fatalf("%s: infeasible edge %v -> %v cost %d: π(u)-c-π(v) = %d > 0",
+					sc.name, u, v, c, d)
 			}
 		}
 		// Only edges that exist in the real track graph count: a segment
@@ -170,26 +148,23 @@ func TestFutureFeasibility(t *testing.T) {
 			if u.Z+1 < len(sc.world.tg.Layers) {
 				add(geom.Pt3(u.X, u.Y, u.Z+1), sc.costs.GammaVia[u.Z])
 			}
-			for name, pi := range pis {
-				for _, e := range edges {
-					// Feasibility is symmetric for undirected edges: check
-					// both orientations.
-					check(name, pi, u, e.v, e.c)
-					check(name, pi, e.v, u, e.c)
-				}
+			for _, e := range edges {
+				// Feasibility is symmetric for undirected edges: check
+				// both orientations.
+				check(u, e.v, e.c)
+				check(e.v, u, e.c)
 			}
 		}
 	}
 }
 
-// TestFutureAdmissibility compares every π against exact distances: for
+// TestFutureAdmissibility compares π_H against exact distances: for
 // sampled vertices u, π(u) must not exceed the cost of a shortest path
 // from u to the target set (computed by the node-based reference
 // Dijkstra with π ≡ 0).
 func TestFutureAdmissibility(t *testing.T) {
-	const cell = 40
 	for _, sc := range futureScenarios() {
-		pis, _ := buildFutures(sc, cell)
+		pi := hFuture(sc)
 		verts := trackVertices(sc.world)
 		rng := rand.New(rand.NewSource(11))
 		cfg := sc.world.config(sc.costs, nil, nil)
@@ -204,11 +179,9 @@ func TestFutureAdmissibility(t *testing.T) {
 				continue
 			}
 			checked++
-			for name, pi := range pis {
-				if got := pi.At(u.X, u.Y, u.Z); got > p.Cost {
-					t.Fatalf("%s/%s: inadmissible at %v: π = %d > exact %d",
-						sc.name, name, u, got, p.Cost)
-				}
+			if got := pi.At(u.X, u.Y, u.Z); got > p.Cost {
+				t.Fatalf("%s: inadmissible at %v: π = %d > exact %d",
+					sc.name, u, got, p.Cost)
 			}
 		}
 		if checked < 20 {
@@ -216,37 +189,9 @@ func TestFutureAdmissibility(t *testing.T) {
 		}
 		// π must vanish on the targets themselves.
 		for _, tp := range sc.T {
-			for name, pi := range pis {
-				if got := pi.At(tp.X, tp.Y, tp.Z); got != 0 {
-					t.Fatalf("%s/%s: π(target %v) = %d, want 0", sc.name, name, tp, got)
-				}
+			if got := pi.At(tp.X, tp.Y, tp.Z); got != 0 {
+				t.Fatalf("%s: π(target %v) = %d, want 0", sc.name, tp, got)
 			}
-		}
-	}
-}
-
-// TestFutureDominance asserts the coarse-grid bound never falls below
-// π_H pointwise (it takes the max with it by construction) and that it
-// actually strengthens the bound somewhere on the detour scenario —
-// otherwise the stronger machinery is dead weight.
-func TestFutureDominance(t *testing.T) {
-	const cell = 40
-	for _, sc := range futureScenarios() {
-		pis, _ := buildFutures(sc, cell)
-		h := pis["HFuture"]
-		stronger := 0
-		for _, u := range trackVertices(sc.world) {
-			hb := h.At(u.X, u.Y, u.Z)
-			got := pis["PFuture"].At(u.X, u.Y, u.Z)
-			if got < hb {
-				t.Fatalf("%s/PFuture: %d < π_H %d at %v", sc.name, got, hb, u)
-			}
-			if got > hb {
-				stronger++
-			}
-		}
-		if sc.name == "wall" && stronger == 0 {
-			t.Fatalf("%s: π_P never exceeds π_H despite the wall", sc.name)
 		}
 	}
 }

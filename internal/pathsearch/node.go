@@ -120,9 +120,7 @@ func (e *Engine) runNode(S, T []geom.Point3) *Path {
 			best = st.dist
 			bestSi = si
 			// First settled target is optimal under feasible π — π_H is
-			// exactly feasible (property-tested). The coarse-grid π_P can
-			// violate feasibility by up to one cell, which only the
-			// label-correcting interval search absorbs.
+			// exactly feasible (property-tested).
 			break
 		}
 		e.nbrBuf = e.nodeNeighbors(e.nbrBuf[:0], int(st.z), int(st.ti), st.along)

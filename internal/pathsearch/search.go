@@ -27,9 +27,6 @@ type Config struct {
 	// jog/via) that requires rip-up effort need ≥ 1. nil with MaxNeed > 0
 	// panics: rip-up must never be free.
 	RipupPenalty func(need drc.Need) int
-	// SpreadCost adds wire-spreading cost for using track positions
-	// [lo, hi] of track trackIdx on layer z (§4.2); nil disables.
-	SpreadCost func(z, trackIdx, lo, hi int) int
 
 	// WireRuns visits the Need runs of the preferred-direction wire model
 	// along track trackIdx of layer z, clipped to [lo, hi]; gaps are
@@ -339,17 +336,13 @@ func (e *Engine) run(S, T []geom.Point3) *Path {
 	return e.buildPath()
 }
 
-// entryCost is the extra cost of entering an interval: rip-up penalty
-// plus spreading cost.
+// entryCost is the extra cost of entering an interval: its rip-up
+// penalty.
 func (e *Engine) entryCost(iv *ival) int {
-	c := 0
 	if iv.need > 0 {
-		c += e.cfg.RipupPenalty(iv.need)
+		return e.cfg.RipupPenalty(iv.need)
 	}
-	if e.cfg.SpreadCost != nil {
-		c += e.cfg.SpreadCost(iv.z, iv.ti, iv.lo, iv.hi)
-	}
-	return c
+	return 0
 }
 
 // labelKeyAt evaluates label li's induced key at position x within its
@@ -424,9 +417,10 @@ func (e *Engine) sweep(li int32, cap int, side int8) {
 		e.settleRange(li, pos, pos, base, pos)
 	}
 	// Right extension: frontier of key ≤ cap in [newHi+1, iv.hi]. The
-	// probe sequence mirrors sort.Search exactly: π_P can be locally
-	// non-monotone, where the frontier found depends on the probes made,
-	// and routing output must not change with the queue refactor.
+	// probe sequence mirrors sort.Search exactly: wherever the key is
+	// locally non-monotone the frontier found depends on the probes
+	// made, and routing output must not depend on how the search is
+	// written.
 	if lo := newHi + 1; lo <= iv.hi && e.sweepKey(iv, base, pos, lo) <= cap {
 		i, j := 0, iv.hi-lo+1
 		for i < j {

@@ -284,36 +284,6 @@ func TestRipupPanicsWithoutPenalty(t *testing.T) {
 	Search(cfg, []geom.Point3{geom.Pt3(5, 5, 0)}, []geom.Point3{geom.Pt3(95, 5, 0)})
 }
 
-func TestSpreadCost(t *testing.T) {
-	w := newWorld(2, 10, 200)
-	costs := UniformCosts(2, 1, 1)
-	cfg := w.config(costs, nil, nil)
-	// Penalize track 1 of layer 0 (y=15), which lies between the source
-	// track (y=5) and the target track (y=25): the spreading cost makes
-	// the router climb to layer 1 instead of jogging across the
-	// penalized track.
-	cfg.SpreadCost = func(z, ti, lo, hi int) int {
-		if z == 0 && ti == 1 {
-			return 1000
-		}
-		return 0
-	}
-	S := []geom.Point3{geom.Pt3(5, 5, 0)}
-	T := []geom.Point3{geom.Pt3(155, 25, 0)}
-	p := Search(cfg, S, T)
-	if p == nil {
-		t.Fatal("no path")
-	}
-	if p.Cost >= 1000 {
-		t.Fatalf("path paid the spreading penalty: cost %d, points %v", p.Cost, p.Points)
-	}
-	for _, pt := range p.Points {
-		if pt.Z == 0 && pt.Y == 15 {
-			t.Fatalf("path touches the penalized track: %v", p.Points)
-		}
-	}
-}
-
 // TestFigure6Scenario recreates the situation of paper Fig. 6: horizontal
 // preferred direction, β = 2, unusable stretches forcing the path to
 // combine track segments, jogs and detours.
@@ -395,47 +365,6 @@ func TestIntervalBeatsNodeOnLongPaths(t *testing.T) {
 	}
 	if a.Stats.HeapPops*10 > b.Stats.HeapPops {
 		t.Fatalf("interval pops %d not ≪ node pops %d", a.Stats.HeapPops, b.Stats.HeapPops)
-	}
-}
-
-func TestPFutureAdmissibleAndDirected(t *testing.T) {
-	w := newWorld(2, 10, 400)
-	// A large blockage π_H cannot see through.
-	w.block(0, geom.R(150, 0, 170, 380))
-	w.block(1, geom.R(150, 0, 170, 380))
-	costs := UniformCosts(2, 3, 50)
-	S := []geom.Point3{geom.Pt3(5, 5, 0)}
-	T := []geom.Point3{geom.Pt3(355, 5, 0)}
-	targets := map[int][]geom.Rect{0: {geom.R(355, 5, 356, 6)}}
-
-	plain := Search(w.config(costs, nil, nil), S, T)
-	if plain == nil {
-		t.Fatal("no path")
-	}
-	h := NewHFuture(2, costs, targets)
-	ph := Search(w.config(costs, h, nil), S, T)
-
-	p := NewPFuture(2, costs, targets, geom.R(0, 0, 400, 400), PFutureConfig{
-		Cell: 40,
-		Blocked: func(z int, cell geom.Rect) bool {
-			for _, r := range w.blocked[z] {
-				if r.ContainsRect(cell) {
-					return true
-				}
-			}
-			return false
-		},
-	})
-	pp := Search(w.config(costs, p, nil), S, T)
-	if ph == nil || pp == nil {
-		t.Fatal("directed searches failed")
-	}
-	if ph.Cost != plain.Cost || pp.Cost != plain.Cost {
-		t.Fatalf("future costs changed the answer: plain %d πH %d πP %d", plain.Cost, ph.Cost, pp.Cost)
-	}
-	// π_P must not do more work than π_H here (it sees the wall).
-	if pp.Stats.Labels > ph.Stats.Labels {
-		t.Fatalf("π_P labels %d > π_H labels %d", pp.Stats.Labels, ph.Stats.Labels)
 	}
 }
 

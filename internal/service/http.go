@@ -44,31 +44,10 @@ func (c ChipWire) params() bonnroute.ChipParams {
 }
 
 // OptionsWire is the JSON form of the routing options pinned by a
-// session (core.Options minus the tracer; zero fields take defaults).
-type OptionsWire struct {
-	Seed         int64   `json:"seed,omitempty"`
-	Workers      int     `json:"workers,omitempty"`
-	GlobalPhases int     `json:"global_phases,omitempty"`
-	TileTracks   int     `json:"tile_tracks,omitempty"`
-	PowerCap     float64 `json:"power_cap,omitempty"`
-	SkipGlobal   bool    `json:"skip_global,omitempty"`
-	UsePFuture   bool    `json:"use_pfuture,omitempty"`
-	EcoThreshold float64 `json:"eco_threshold,omitempty"`
-	// ExactSteinerMax is the net-degree threshold for the exact
-	// goal-oriented Steiner oracle in global routing (0 = default 9,
-	// negative = Path Composition only).
-	ExactSteinerMax int `json:"exact_steiner_max,omitempty"`
-}
-
-func (o OptionsWire) toOptions() bonnroute.Options {
-	return bonnroute.Options{
-		Seed: o.Seed, Workers: o.Workers, GlobalPhases: o.GlobalPhases,
-		TileTracks: o.TileTracks, PowerCap: o.PowerCap,
-		SkipGlobal: o.SkipGlobal, UsePFuture: o.UsePFuture,
-		EcoThreshold:    o.EcoThreshold,
-		ExactSteinerMax: o.ExactSteinerMax,
-	}
-}
+// session: the options struct itself, whose tags declare the wire names.
+// Unknown keys are ignored, so older clients that still send retired
+// options keep working.
+type OptionsWire = bonnroute.Options
 
 type createRequest struct {
 	// Name identifies the session; empty auto-assigns s1, s2, ...
@@ -293,7 +272,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	c := bonnroute.GenerateChip(req.Chip.params())
-	opt := req.Options.toOptions()
+	opt := req.Options
 
 	if req.Stream || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		committed = s.createStreaming(ctx, w, ss, c, opt)

@@ -420,3 +420,30 @@ func TestServiceEcoBitIdentical(t *testing.T) {
 		t.Fatalf("daemon ECO diverges from direct Reroute: %v", v)
 	}
 }
+
+// TestCreateIgnoresRetiredOptionKeys: a create body from an older client
+// that still sends retired option keys routes normally, and the keys
+// change nothing.
+func TestCreateIgnoresRetiredOptionKeys(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	chipJSON, err := json.Marshal(tinyChip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := json.RawMessage(`{"name": "old", "chip": ` + string(chipJSON) +
+		`, "options": {"seed": 7, "use_pfuture": true, "future_mode": "reduced"}}`)
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/sessions", body)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, out)
+	}
+
+	direct := bonnroute.Route(context.Background(), bonnroute.GenerateChip(tinyChip.params()), bonnroute.WithSeed(7))
+	served := svc.lookup("old").sess.Load().Result()
+	if v := verify.CompareResults(served, direct); len(v) != 0 {
+		t.Fatalf("retired keys changed the route: %v", v)
+	}
+}

@@ -267,10 +267,9 @@ func (a oItem) less(b oItem) bool {
 	return a.d < b.d || (a.d == b.d && a.v < b.v)
 }
 
-// oHeap is a plain typed binary min-heap. It replaces the old
-// container/heap implementation, whose interface{} boxing allocated on
-// every Push/Pop in the solver's hottest loop (one oracle call per net
-// per phase) — the same fix pathsearch applied with distHeap.
+// oHeap is a plain typed binary min-heap: container/heap's interface{}
+// boxing would allocate on every Push/Pop in the solver's hottest loop
+// (one oracle call per net per phase).
 type oHeap []oItem
 
 func (h *oHeap) push(it oItem) {

@@ -25,7 +25,7 @@ import (
 //	  "name":        "short-slug",
 //	  "comment":     "what the bug was / why this scenario is pinned",
 //	  "gen":         {chip.GenParams fields},
-//	  "options":     {"Seed": n, "Workers": n, "SkipGlobal": b, "UsePFuture": b},
+//	  "options":     {core.Options wire fields, e.g. "seed": n, "workers": n},
 //	  "determinism": [workersA, workersB],          // optional double-run
 //	  "eco":         {"DeltaSeed": n, "WorkersB": n, // optional ECO check
 //	                  "Gen": {incremental.GenConfig fields}}
@@ -34,29 +34,15 @@ type corpusCase struct {
 	Name        string
 	Comment     string
 	Gen         chip.GenParams
-	Options     corpusOptions
+	Options     core.Options
 	Determinism []int
 	Eco         *corpusEco
-}
-
-type corpusOptions struct {
-	Seed       int64
-	Workers    int
-	SkipGlobal bool
-	UsePFuture bool
 }
 
 type corpusEco struct {
 	DeltaSeed int64
 	WorkersB  int
 	Gen       incremental.GenConfig
-}
-
-func (o corpusOptions) core() core.Options {
-	return core.Options{
-		Seed: o.Seed, Workers: o.Workers,
-		SkipGlobal: o.SkipGlobal, UsePFuture: o.UsePFuture,
-	}
 }
 
 func TestGoldenCorpus(t *testing.T) {
@@ -85,7 +71,7 @@ func TestGoldenCorpus(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
 			if tc.Eco != nil {
-				viol := ECOEquivalence(ctx, tc.Gen, tc.Options.core(), ECOOptions{
+				viol := ECOEquivalence(ctx, tc.Gen, tc.Options, ECOOptions{
 					DeltaSeed: tc.Eco.DeltaSeed,
 					Gen:       tc.Eco.Gen,
 					WorkersB:  tc.Eco.WorkersB,
@@ -95,12 +81,12 @@ func TestGoldenCorpus(t *testing.T) {
 				}
 				return
 			}
-			res := core.RouteBonnRoute(ctx, chip.Generate(tc.Gen), tc.Options.core())
+			res := core.RouteBonnRoute(ctx, chip.Generate(tc.Gen), tc.Options)
 			for _, v := range Run(res, Options{}).Violations {
 				t.Errorf("%s", v)
 			}
 			if len(tc.Determinism) == 2 {
-				viol := Determinism(ctx, tc.Gen, tc.Options.core(),
+				viol := Determinism(ctx, tc.Gen, tc.Options,
 					tc.Determinism[0], tc.Determinism[1])
 				for _, v := range viol {
 					t.Errorf("%s", v)

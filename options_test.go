@@ -14,17 +14,16 @@ func TestOptionComposition(t *testing.T) {
 		WithWorkers(8),
 		WithSeed(7),
 		WithTracer(tr),
-		WithGlobalConfig(GlobalConfig{Phases: 16, TileTracks: 10, PowerCap: 50}),
-		WithDetailConfig(DetailConfig{UsePFuture: true}),
+		WithPhases(16),
+		WithTileTracks(10),
+		WithPowerCap(50),
+		WithExactSteiner(7),
 	})
 	if o.Workers != 8 || o.Seed != 7 || o.Tracer != tr {
 		t.Fatalf("basic options not applied: %+v", o)
 	}
-	if o.GlobalPhases != 16 || o.TileTracks != 10 || o.PowerCap != 50 {
-		t.Fatalf("global config not applied: %+v", o)
-	}
-	if !o.UsePFuture {
-		t.Fatalf("detail config not applied: %+v", o)
+	if o.GlobalPhases != 16 || o.TileTracks != 10 || o.PowerCap != 50 || o.ExactSteinerMax != 7 {
+		t.Fatalf("global options not applied: %+v", o)
 	}
 	if o.SkipGlobal {
 		t.Fatal("SkipGlobal must default to false")
@@ -39,15 +38,12 @@ func TestOptionPrecedence(t *testing.T) {
 	}
 }
 
-// Zero-valued GlobalConfig fields keep whatever is already set — the
-// sub-config only overrides fields the caller filled in.
-func TestGlobalConfigZeroFieldsPreserved(t *testing.T) {
-	o := buildOptions([]Option{
-		WithGlobalConfig(GlobalConfig{Phases: 12, TileTracks: 9}),
-		WithGlobalConfig(GlobalConfig{PowerCap: 30}), // Phases/TileTracks zero
-	})
-	if o.GlobalPhases != 12 || o.TileTracks != 9 || o.PowerCap != 30 {
-		t.Fatalf("zero fields clobbered earlier settings: %+v", o)
+// A later option overrides only its own field: the fields other
+// options set before it are kept.
+func TestOptionsSetOnlyTheirField(t *testing.T) {
+	o := buildOptions([]Option{WithPhases(12), WithTileTracks(9), WithPowerCap(30), WithPhases(16)})
+	if o.GlobalPhases != 16 || o.TileTracks != 9 || o.PowerCap != 30 {
+		t.Fatalf("a later option clobbered another field: %+v", o)
 	}
 }
 
@@ -67,71 +63,36 @@ func TestWithoutGlobalAndNilOption(t *testing.T) {
 	}
 }
 
-// The SetX accessors make zero and false expressible: a field set
-// explicitly applies even when its value is the zero value, where the
-// struct-literal form would merge (keep the earlier setting).
-func TestGlobalConfigExplicitZero(t *testing.T) {
+// Because a later option wins, zero is expressible: it clears an
+// earlier setting, and core's defaults then fill it in.
+func TestOptionExplicitZero(t *testing.T) {
 	o := buildOptions([]Option{
-		WithGlobalConfig(GlobalConfig{Phases: 12, TileTracks: 9, PowerCap: 30}),
-		WithGlobalConfig(GlobalConfig{}.SetPhases(0).SetTileTracks(0).SetPowerCap(0)),
+		WithPhases(12), WithTileTracks(9), WithPowerCap(30),
+		WithPhases(0), WithTileTracks(0), WithPowerCap(0),
 	})
 	if o.GlobalPhases != 0 || o.TileTracks != 0 || o.PowerCap != 0 {
 		t.Fatalf("explicit zeros must clear earlier settings: %+v", o)
 	}
-
-	// SetSkip(false) re-enables global routing after WithoutGlobal —
-	// the literal GlobalConfig{Skip: false} cannot.
-	o = buildOptions([]Option{WithoutGlobal(), WithGlobalConfig(GlobalConfig{})})
-	if !o.SkipGlobal {
-		t.Fatal("literal zero Skip must keep the earlier SkipGlobal")
-	}
-	o = buildOptions([]Option{WithoutGlobal(), WithGlobalConfig(GlobalConfig{}.SetSkip(false))})
-	if o.SkipGlobal {
-		t.Fatal("SetSkip(false) must re-enable global routing")
+	o.SetDefaults()
+	if o.GlobalPhases != 32 || o.TileTracks != 8 || o.PowerCap != 0 {
+		t.Fatalf("cleared fields must take the core defaults: %+v", o)
 	}
 }
 
-// ExactSteiner follows the same semantics: non-zero literals merge in,
-// SetExactSteiner makes 0 (restore default) and -1 (disable) expressible.
-func TestGlobalConfigExactSteiner(t *testing.T) {
-	o := buildOptions([]Option{WithGlobalConfig(GlobalConfig{ExactSteiner: 7})})
+// WithExactSteiner sets the exact-oracle threshold: 0 restores the core
+// default and a negative value disables the exact oracle.
+func TestExactSteinerOption(t *testing.T) {
+	o := buildOptions([]Option{WithExactSteiner(7), WithPhases(16)})
 	if o.ExactSteinerMax != 7 {
-		t.Fatalf("literal ExactSteiner not applied: %+v", o)
+		t.Fatalf("threshold not applied: %+v", o)
 	}
-	o = buildOptions([]Option{
-		WithGlobalConfig(GlobalConfig{ExactSteiner: 7}),
-		WithGlobalConfig(GlobalConfig{Phases: 16}), // zero ExactSteiner merges
-	})
-	if o.ExactSteinerMax != 7 {
-		t.Fatalf("literal zero must keep the earlier threshold: %+v", o)
-	}
-	o = buildOptions([]Option{
-		WithGlobalConfig(GlobalConfig{ExactSteiner: 7}),
-		WithGlobalConfig(GlobalConfig{}.SetExactSteiner(0)),
-	})
+	o = buildOptions([]Option{WithExactSteiner(7), WithExactSteiner(0)})
 	if o.ExactSteinerMax != 0 {
-		t.Fatalf("SetExactSteiner(0) must restore the core default: %+v", o)
+		t.Fatalf("WithExactSteiner(0) must restore the core default: %+v", o)
 	}
-	o = buildOptions([]Option{WithGlobalConfig(GlobalConfig{ExactSteiner: -1})})
+	o = buildOptions([]Option{WithExactSteiner(-1)})
 	if o.ExactSteinerMax != -1 {
-		t.Fatalf("disabling via negative literal must apply: %+v", o)
-	}
-}
-
-func TestDetailConfigExplicitFalse(t *testing.T) {
-	o := buildOptions([]Option{
-		WithDetailConfig(DetailConfig{UsePFuture: true}),
-		WithDetailConfig(DetailConfig{}), // literal zero merges
-	})
-	if !o.UsePFuture {
-		t.Fatal("literal zero UsePFuture must keep the earlier setting")
-	}
-	o = buildOptions([]Option{
-		WithDetailConfig(DetailConfig{UsePFuture: true}),
-		WithDetailConfig(DetailConfig{}.SetUsePFuture(false)),
-	})
-	if o.UsePFuture {
-		t.Fatal("SetUsePFuture(false) must disable the future cost")
+		t.Fatalf("a negative threshold must disable the exact oracle: %+v", o)
 	}
 }
 
