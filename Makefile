@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race test-race vet fmt bench-build bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
+.PHONY: all build test race test-race vet fmt bench-build bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-ab bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
 
 all: build
 
@@ -93,8 +93,9 @@ scale-smoke:
 # future-cost requests (the rip-up retry path) must be allocation-free,
 # the region-task scheduler's own dispatch overhead
 # must stay bounded so the parallel path cannot erode those budgets,
-# and the Steiner oracles (Path Composition and the exact goal-oriented
-# search) must hold their steady-state per-call budgets once warm.
+# the Steiner oracles (Path Composition and the exact goal-oriented
+# search) must hold their steady-state per-call budgets once warm, and
+# a warm blockage-grid searcher must allocate only the returned path.
 # The scale lane pins deterministic bytes-per-net budgets (shape grid
 # and fast grid on freshly built 10³- and 10⁴-net spaces, interval map
 # per run) with +10% headroom: the accounting derives from element
@@ -104,6 +105,7 @@ alloc-guard:
 	$(GO) test -run 'TestSteadyStateAllocs|TestParallelSteadyStateAllocs|TestFutureSteadyStateAllocs' ./internal/pathsearch
 	$(GO) test -run 'TestSchedulerAllocs' ./internal/detail
 	$(GO) test -run 'TestOracleSteadyStateAllocs' ./internal/steiner
+	$(GO) test -run 'TestSearcherSteadyStateAllocs' ./internal/blockgrid
 	$(GO) test -tags scale -timeout 30m -run 'TestBytesPerNetBudget|TestIntervalMapBytesPerRun' ./internal/scale
 
 # service-smoke starts the routing daemon on a loopback port, walks one
@@ -131,6 +133,18 @@ steiner-smoke:
 # (`make race` — the whole suite under -race — stays available as the
 # long-form lane.)
 check: vet fmt build test bench-build test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke steiner-smoke alloc-guard service-smoke scale-smoke
+
+# bench-ab runs one benchmark workload interleaved on the committed
+# files of AB_BASE and on this checkout, flipping which side goes first
+# on every pair; it prints wall seconds (build included) and op_p50_ms
+# per run and fails when the #info counts of any two runs differ. Not
+# part of check: ten pairs take about twenty minutes on two cores.
+AB_BASE ?= HEAD
+AB_WORKLOAD ?= small_chips
+AB_SEED ?= 1
+AB_PAIRS ?= 10
+bench-ab:
+	bash scripts/bench-ab.sh $(AB_BASE) $(AB_WORKLOAD) $(AB_SEED) $(AB_PAIRS)
 
 # bench-json regenerates the committed benchmark artifact (small suite
 # plus the path-search micro-benchmarks). Each chip's ISR and BR+cleanup

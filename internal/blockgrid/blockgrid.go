@@ -84,6 +84,11 @@ func dedup(xs []int) []int {
 // repeated searches (pin-access catalogues probe many endpoints per pin)
 // reuse memory instead of rebuilding it per call. One Searcher serves one
 // goroutine at a time.
+//
+// The Dijkstra state is epoch-stamped rather than cleared per search:
+// mark[id] is 2·epoch once state id is reached in the current search and
+// 2·epoch+1 once it is settled; dist and parent are read only behind a
+// current mark.
 type Searcher struct {
 	g       bgraph
 	sortBuf []int
@@ -91,25 +96,36 @@ type Searcher struct {
 	ybase   []int
 	dist    []int
 	parent  []int32
-	done    []bool
+	mark    []uint32
+	epoch   uint32
 	pq      bheap
 }
+
+// maxEpoch is the last epoch whose settled mark 2·epoch+1 fits a uint32.
+const maxEpoch = (1<<32 - 2) / 2
 
 // NewSearcher returns an empty searcher; buffers grow on demand.
 func NewSearcher() *Searcher { return &Searcher{} }
 
-// searcherPool backs the package-level Search so one-shot callers still
+// searcherPool backs the package-level Search and GetSearcher so callers
 // amortize buffer memory across calls.
 var searcherPool = sync.Pool{New: func() interface{} { return NewSearcher() }}
+
+// GetSearcher takes a searcher from the package pool. Return it with
+// PutSearcher once no search on it is running.
+func GetSearcher() *Searcher { return searcherPool.Get().(*Searcher) }
+
+// PutSearcher returns a searcher taken with GetSearcher to the pool.
+func PutSearcher(s *Searcher) { searcherPool.Put(s) }
 
 // Search finds a shortest τ-feasible rectilinear path from s to t within
 // bounds, avoiding the interiors of the obstacles. It returns the
 // waypoints (including s and t) and the ℓ1 length. ok is false when no
 // τ-feasible path exists on the blockage grid.
 func Search(obstacles []geom.Rect, s, t geom.Point, tau int, bounds geom.Rect) (pts []geom.Point, length int, ok bool) {
-	sr := searcherPool.Get().(*Searcher)
+	sr := GetSearcher()
 	pts, length, ok = sr.Search(obstacles, s, t, tau, bounds)
-	searcherPool.Put(sr)
+	PutSearcher(sr)
 	return pts, length, ok
 }
 
@@ -118,6 +134,19 @@ func (s *Searcher) Search(obstacles []geom.Rect, from, to geom.Point, tau int, b
 	if from == to {
 		return []geom.Point{from}, 0, true
 	}
+	// Every arc at a point strictly inside an obstacle crosses that
+	// obstacle's interior, so such an endpoint is unreachable: answer
+	// without exhausting the grid. Border points stay reachable.
+	for _, o := range obstacles {
+		if strictlyInside(from, o) || strictlyInside(to, o) {
+			return nil, 0, false
+		}
+	}
+	return s.search(obstacles, from, to, tau, bounds)
+}
+
+// search runs the grid search proper, without the endpoint rejection.
+func (s *Searcher) search(obstacles []geom.Rect, from, to geom.Point, tau int, bounds geom.Rect) (pts []geom.Point, length int, ok bool) {
 	s.xbase = append(s.xbase[:0], from.X, to.X, bounds.XMin, bounds.XMax)
 	s.ybase = append(s.ybase[:0], from.Y, to.Y, bounds.YMin, bounds.YMax)
 	for _, o := range obstacles {
@@ -181,6 +210,10 @@ func (g *bgraph) segmentFree(ax, ay, bx, by int) bool {
 	return true
 }
 
+func strictlyInside(p geom.Point, o geom.Rect) bool {
+	return o.XMin < p.X && p.X < o.XMax && o.YMin < p.Y && p.Y < o.YMax
+}
+
 func segAvoidsInterior(seg, o geom.Rect) bool {
 	if seg.YMin == seg.YMax { // horizontal (or degenerate point)
 		if seg.YMin <= o.YMin || seg.YMin >= o.YMax {
@@ -215,24 +248,25 @@ func (g *bgraph) stateOf(id int) bstate {
 func (s *Searcher) dijkstra(from, to bvertex) ([]geom.Point, int, bool) {
 	g := &s.g
 	n := len(g.xs) * len(g.ys) * int(numDirs)
-	const unset = int(^uint(0) >> 2)
 	if cap(s.dist) < n {
 		s.dist = make([]int, n)
 		s.parent = make([]int32, n)
-		s.done = make([]bool, n)
+		s.mark = make([]uint32, n)
 	}
-	dist, parent, done := s.dist[:n], s.parent[:n], s.done[:n]
-	for i := range dist {
-		dist[i] = unset
-		parent[i] = -1
-		done[i] = false
+	if s.epoch == maxEpoch {
+		clear(s.mark[:cap(s.mark)])
+		s.epoch = 0
 	}
+	s.epoch++
+	reached, settled := 2*s.epoch, 2*s.epoch+1
+	dist, parent, mark := s.dist[:n], s.parent[:n], s.mark[:n]
 	pq := s.pq[:0]
 	relax := func(st bstate, d int, fromID int32) {
 		id := g.sid(st)
-		if dist[id] <= d {
+		if mark[id] >= reached && dist[id] <= d {
 			return
 		}
+		mark[id] = reached
 		dist[id] = d
 		parent[id] = fromID
 		pq.push(bitem{d, int32(id)})
@@ -242,26 +276,14 @@ func (s *Searcher) dijkstra(from, to bvertex) ([]geom.Point, int, bool) {
 	for len(pq) > 0 {
 		it := pq.pop()
 		id := int(it.id)
-		if done[id] || it.d > dist[id] {
+		if mark[id] == settled || it.d > dist[id] {
 			continue
 		}
-		done[id] = true
+		mark[id] = settled
 		st := g.stateOf(id)
 		if st.v == to {
-			// Reconstruct.
-			var pts []geom.Point
-			for cur := int32(id); cur >= 0; cur = parent[cur] {
-				cs := g.stateOf(int(cur))
-				p := geom.Pt(g.xs[cs.v.xi], g.ys[cs.v.yi])
-				if len(pts) == 0 || pts[len(pts)-1] != p {
-					pts = append(pts, p)
-				}
-			}
-			for i, j := 0, len(pts)-1; i < j; i, j = i+1, j-1 {
-				pts[i], pts[j] = pts[j], pts[i]
-			}
 			s.pq = pq[:0]
-			return pts, it.d, true
+			return s.path(int32(id)), it.d, true
 		}
 		g.neighbors(st, func(nb bstate, cost int) {
 			relax(nb, it.d+cost, int32(id))
@@ -269,6 +291,32 @@ func (s *Searcher) dijkstra(from, to bvertex) ([]geom.Point, int, bool) {
 	}
 	s.pq = pq[:0]
 	return nil, 0, false
+}
+
+// path reconstructs the waypoints ending at state id from the parent
+// links, dropping repeated points, into one exactly sized slice.
+func (s *Searcher) path(id int32) []geom.Point {
+	g := &s.g
+	at := func(cur int32) geom.Point {
+		cs := g.stateOf(int(cur))
+		return geom.Pt(g.xs[cs.v.xi], g.ys[cs.v.yi])
+	}
+	n := 0
+	for cur, last := id, (geom.Point{}); cur >= 0; cur = s.parent[cur] {
+		if p := at(cur); n == 0 || p != last {
+			n++
+			last = p
+		}
+	}
+	pts := make([]geom.Point, n)
+	i := n
+	for cur := id; cur >= 0; cur = s.parent[cur] {
+		if p := at(cur); i == n || p != pts[i] {
+			i--
+			pts[i] = p
+		}
+	}
+	return pts
 }
 
 // neighbors enumerates arcs: straight continuation to the adjacent grid

@@ -158,6 +158,19 @@ func (c *Chip) Validate() error {
 	if len(c.WireTypes) == 0 {
 		return fmt.Errorf("chip %s: no wire types", c.Name)
 	}
+	if c.Deck == nil {
+		return fmt.Errorf("chip %s: no rule deck", c.Name)
+	}
+	if len(c.Deck.Layers) < len(c.Layers) {
+		return fmt.Errorf("chip %s: deck has %d layers, chip %d", c.Name, len(c.Deck.Layers), len(c.Layers))
+	}
+	for z := range c.Layers {
+		lr := &c.Deck.Layers[z]
+		if lr.Pitch <= 0 || lr.MinWidth <= 0 || lr.MinSegLen <= 0 {
+			return fmt.Errorf("layer %d: pitch %d, min width %d and min segment length %d must be positive",
+				z, lr.Pitch, lr.MinWidth, lr.MinSegLen)
+		}
+	}
 	for z, l := range c.Layers {
 		if l.Z != z {
 			return fmt.Errorf("layer %d has Z=%d", z, l.Z)

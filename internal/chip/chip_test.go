@@ -197,3 +197,37 @@ func TestPinsOfAndDir(t *testing.T) {
 		t.Fatal("pin center degenerate")
 	}
 }
+
+// TestValidateRejectsBadDeck: a deck that would make the routing space
+// degenerate (no deck, too few layers, a non-positive pitch, width or
+// minimum segment length) is an error from Validate, not a panic later.
+func TestValidateRejectsBadDeck(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(c *Chip)
+	}{
+		{"nil deck", func(c *Chip) { c.Deck = nil }},
+		{"deck with fewer layers", func(c *Chip) { c.Deck.Layers = c.Deck.Layers[:len(c.Layers)-1] }},
+		{"zero pitch", func(c *Chip) { c.Deck.Layers[0].Pitch = 0 }},
+		{"negative pitch", func(c *Chip) { c.Deck.Layers[1].Pitch = -40 }},
+		{"zero min width", func(c *Chip) { c.Deck.Layers[0].MinWidth = 0 }},
+		{"negative min width", func(c *Chip) { c.Deck.Layers[1].MinWidth = -1 }},
+		{"zero min segment length", func(c *Chip) { c.Deck.Layers[0].MinSegLen = 0 }},
+		{"negative min segment length", func(c *Chip) { c.Deck.Layers[len(c.Layers)-1].MinSegLen = -5 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Generate(GenParams{Seed: 1, Rows: 3, Cols: 6, NumNets: 10})
+			if err := c.Validate(); err != nil {
+				t.Fatalf("generated chip invalid: %v", err)
+			}
+			deck := *c.Deck // the generator may share decks; break a copy
+			deck.Layers = append([]rules.LayerRules(nil), deck.Layers...)
+			c.Deck = &deck
+			tc.corrupt(c)
+			if c.Validate() == nil {
+				t.Fatal("Validate accepted the broken deck")
+			}
+		})
+	}
+}

@@ -148,9 +148,10 @@ func BuildCatalogue(c *chip.Chip, tg *tracks.Graph, cellIdx int, p Params) *Cata
 		Chosen: make([]int, len(proto.Pins)),
 	}
 
-	// One searcher serves every endpoint probe of the catalogue, so the
-	// grid and Dijkstra buffers are built once per class, not per probe.
-	sr := blockgrid.NewSearcher()
+	// One pooled searcher serves every endpoint probe of the catalogue, so
+	// the grid and Dijkstra buffers are reused across probes and classes.
+	sr := blockgrid.GetSearcher()
+	defer blockgrid.PutSearcher(sr)
 
 	// Obstacles per layer in instance coordinates: cell blockages plus
 	// the other pins of the same cell, inflated by half-width + spacing.
