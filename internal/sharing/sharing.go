@@ -515,21 +515,20 @@ func (s *Solver) Run(ctx context.Context) *Result {
 				}
 			}
 			if ci < 0 {
-				extras := map[int]float64{}
 				edges, ok := s.treeFor(worker, func(e int) float64 {
-					c, lv := s.edgeCost(n, e)
-					if c >= 0 {
-						extras[e] = lv
-					}
+					c, _ := s.edgeCost(n, e)
 					return c
 				}, n.Terminals)
 				atomic.AddInt64(&s.calls, 1)
 				if !ok {
 					return
 				}
+				// edgeCost is pure under the frozen phase snapshot, so
+				// re-evaluating it yields the level the oracle priced.
 				ex := make([]float32, len(edges))
 				for i, e := range edges {
-					ex[i] = float32(extras[e])
+					_, lv := s.edgeCost(n, e)
+					ex[i] = float32(lv)
 				}
 				ci = addCandidate(ni, edges, ex)
 				st.lastCand = ci
