@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race test-race vet fmt bench-build bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-ab bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
+.PHONY: all build test race test-race vet fmt bench-build bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke scale-smoke check bench-ab bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-scale
 
 all: build
 
@@ -76,7 +76,7 @@ fuzz-eco-smoke:
 # (congestion-region tiles)/parallel, requires bit-identical results,
 # and runs the verifier with the seeded sampled spacing mode engaged.
 fuzz-scale-smoke:
-	$(GO) run ./cmd/routefuzz -scale -seeds 3 -base-seed 3000 -nets 120 -steiner-diff 0
+	$(GO) run ./cmd/routefuzz -scale -seeds 3 -base-seed 3000 -nets 120
 
 # scale-smoke is the order-of-magnitude gate below the 10⁵-net bench:
 # a 10⁴-net ScaledParams chip routed end to end and verified with the
@@ -93,9 +93,10 @@ scale-smoke:
 # future-cost requests (the rip-up retry path) must be allocation-free,
 # the region-task scheduler's own dispatch overhead
 # must stay bounded so the parallel path cannot erode those budgets,
-# the Steiner oracles (Path Composition and the exact goal-oriented
-# search) must hold their steady-state per-call budgets once warm, and
-# a warm blockage-grid searcher must allocate only the returned path.
+# the Path Composition Steiner oracle (and the exact search kept as its
+# tested reference) must hold their steady-state per-call budgets once
+# warm, and a warm blockage-grid searcher must allocate only the
+# returned path.
 # The scale lane pins deterministic bytes-per-net budgets (shape grid
 # and fast grid on freshly built 10³- and 10⁴-net spaces, interval map
 # per run) with +10% headroom: the accounting derives from element
@@ -115,30 +116,24 @@ alloc-guard:
 service-smoke:
 	$(GO) run ./cmd/routed -smoke
 
-# steiner-smoke is the exact-oracle differential gate: every seeded
-# ≤9-group instance must come back provably optimal (matching an
-# independent reference solver) and never costlier than Path
-# Composition. fuzz-smoke runs a 64-instance slice of the same check;
-# this lane runs the full 400-instance suite plus the planar-RSMT
-# equivalence.
-steiner-smoke:
-	$(GO) test -run 'TestExactDifferential|TestExactPlanarMatchesRSMT' ./internal/steiner
-
 # check is the pre-merge gate: vet, gofmt, build, the full test suite, the
 # benchmark module's build and tests, the targeted race lane, the
 # benchmark smoke test, the trace smoke test,
-# the verifier fuzz sweeps (plain, ECO, and scale), the Steiner oracle
-# differential, the allocation guards (including the scale-tier memory
-# budgets), the service daemon round-trip, and the 10⁴-net scale smoke.
+# the verifier fuzz sweeps (plain, ECO, and scale), the allocation
+# guards (including the scale-tier memory budgets), the service daemon
+# round-trip, and the 10⁴-net scale smoke. The Steiner oracle
+# differential tests run inside the full suite.
 # (`make race` — the whole suite under -race — stays available as the
 # long-form lane.)
-check: vet fmt build test bench-build test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke steiner-smoke alloc-guard service-smoke scale-smoke
+check: vet fmt build test bench-build test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke scale-smoke
 
 # bench-ab runs one benchmark workload interleaved on the committed
 # files of AB_BASE and on this checkout, flipping which side goes first
 # on every pair; it prints wall seconds (build included) and op_p50_ms
-# per run and fails when the #info counts of any two runs differ. Not
-# part of check: ten pairs take about twenty minutes on two cores.
+# per run, fails (exit 1) when a run fails or a side's #info counts
+# drift between its own runs, and exits 3 when the base and change
+# counts differ. Not part of check: ten pairs take about twenty minutes
+# on two cores.
 AB_BASE ?= HEAD
 AB_WORKLOAD ?= small_chips
 AB_SEED ?= 1
@@ -174,16 +169,6 @@ bench-scaling:
 # same mutated chip. Both results must clear every verifier pass.
 bench-eco:
 	$(GO) run ./cmd/routebench -eco -suite eco -bench-json BENCH_eco.json
-
-# bench-steiner regenerates the committed Steiner-oracle artifact: each
-# medium-suite chip is prepared exactly as the global stage would (grid
-# graph + estimated capacities), then every net is answered by both the
-# exact goal-oriented oracle and Path Composition under identical edge
-# costs. The artifact records per-degree-bucket net counts, tree wire
-# length, vias, mean oracle runtime, and how many nets the exact oracle
-# certified or strictly improved.
-bench-steiner:
-	$(GO) run ./cmd/routebench -steiner -suite medium -bench-json BENCH_steiner.json
 
 # bench-service regenerates the committed service-daemon artifact: one
 # session created over loopback HTTP, then a 30-delta seeded ECO stream

@@ -143,13 +143,6 @@ func WithTileTracks(n int) Option { return func(o *core.Options) { o.TileTracks 
 // positive; 0 disables it.
 func WithPowerCap(v float64) Option { return func(o *core.Options) { o.PowerCap = v } }
 
-// WithExactSteiner sets the net-degree threshold for the exact
-// goal-oriented Steiner oracle: nets whose terminals merge to at most n
-// groups get provably minimum trees, larger nets the Path Composition
-// heuristic. 0 selects the default (9); negative disables the exact
-// oracle.
-func WithExactSteiner(n int) Option { return func(o *core.Options) { o.ExactSteinerMax = n } }
-
 // WithoutGlobal routes without global guidance (detailed-only mode).
 func WithoutGlobal() Option { return func(o *core.Options) { o.SkipGlobal = true } }
 
@@ -185,9 +178,12 @@ func buildOptions(opts []Option) core.Options {
 func GenerateChip(p ChipParams) *Chip { return chip.Generate(p) }
 
 // Route runs the full BonnRoute flow on the chip: resource-sharing global
-// routing, interval-based detailed routing, DRC cleanup. Cancelling ctx
-// stops the flow at the next stage, phase or round boundary; the
-// returned Result is then partial with Cancelled set.
+// routing, interval-based detailed routing, DRC cleanup. The chip must
+// pass Chip.Validate: Route does not check it, and an invalid chip (a
+// layer pitch of 0, say) may panic inside the flow. NewSession checks it
+// and returns the error. Cancelling ctx stops the flow at the next
+// stage, phase or round boundary; the returned Result is then partial
+// with Cancelled set.
 func Route(ctx context.Context, c *Chip, opts ...Option) *Result {
 	return core.RouteBonnRoute(ctx, c, buildOptions(opts))
 }

@@ -186,7 +186,6 @@ func main() {
 		ecoMode    = flag.Bool("eco", false, "run the incremental (ECO) rerouting comparison instead of the tables; -bench-json writes BENCH_eco.json")
 		svcMode    = flag.Bool("service", false, "benchmark the routing service daemon over loopback HTTP instead of the tables; -bench-json writes BENCH_service.json")
 		svcDeltas  = flag.Int("service-deltas", 30, "with -service: length of the seeded ECO delta stream")
-		steinMode  = flag.Bool("steiner", false, "compare the exact Steiner oracle against Path Composition per degree bucket; -bench-json writes BENCH_steiner.json")
 		scaleNets  = flag.Int("scale-nets", 100000, "with -suite huge: net count of the scale run")
 		scaleSeed  = flag.Int64("scale-seed", 777, "with -suite huge: chip seed (also seeds the verifier's sampling)")
 		shardTiles = flag.Int("shard-tiles", 8, "with -suite huge: congestion-region shard size in tiles (0 = unsharded)")
@@ -239,8 +238,6 @@ func main() {
 		benchDoc = scaleBench(*scaleNets, *scaleSeed, *workers, *shardTiles)
 	} else if *svcMode {
 		benchDoc = serviceBench(*workers, *svcDeltas)
-	} else if *steinMode {
-		benchDoc = steinerBench(*suiteName, params)
 	} else if *ecoMode {
 		benchDoc = ecoBench(*suiteName, params, *workers)
 	} else if *sweepArg != "" {

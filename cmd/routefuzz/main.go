@@ -19,16 +19,10 @@
 // shrinker then minimizes ECO scenarios too: after the chip, it drops
 // delta mutation classes one by one while the failure persists.
 //
-// Before the scenario sweep, a seeded Steiner-oracle differential slice
-// (-steiner-diff, 0 disables) proves the exact goal-oriented oracle
-// optimal against an independent reference solver and never costlier
-// than Path Composition on random small instances.
-//
 // Usage:
 //
 //	routefuzz [-seeds N] [-base-seed N] [-rows N] [-cols N] [-nets N]
-//	          [-layers N] [-workers N] [-eco] [-skip-fastgrid]
-//	          [-steiner-diff N] [-v]
+//	          [-layers N] [-workers N] [-eco] [-skip-fastgrid] [-v]
 //
 // Every scenario derives its geometry deterministically from its seed,
 // so a failure report's seed is a complete reproducer.
@@ -45,7 +39,6 @@ import (
 	"bonnroute/internal/chip"
 	"bonnroute/internal/core"
 	"bonnroute/internal/incremental"
-	"bonnroute/internal/steiner"
 	"bonnroute/internal/verify"
 )
 
@@ -79,28 +72,12 @@ func main() {
 		eco      = flag.Bool("eco", false, "fuzz ECO deltas: differential incremental-vs-scratch equivalence")
 		scale    = flag.Bool("scale", false, "fuzz the scale tier: sharded-vs-unsharded global-routing bit-identity plus the sampled verifier matrix")
 		skipFG   = flag.Bool("skip-fastgrid", false, "skip the fast-grid differential pass")
-		stDiff   = flag.Int("steiner-diff", 64, "seeded Steiner-oracle differential instances run before the scenarios (0 disables)")
 		verbose  = flag.Bool("v", false, "print per-scenario pass counters")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	// The Steiner oracle differential slice runs first: cheap seeded
-	// instances proving the exact oracle optimal (vs. an independent
-	// reference) and never costlier than Path Composition. The seed is
-	// derived from -base-seed, so a failure report is self-reproducing
-	// via RunDifferential(seed, n).
-	if *stDiff > 0 {
-		start := time.Now()
-		if err := steiner.RunDifferential(*baseSeed, *stDiff); err != nil {
-			fmt.Printf("steiner differential seed=%d n=%d: FAIL\n  %v\n", *baseSeed, *stDiff, err)
-			os.Exit(1)
-		}
-		fmt.Printf("steiner differential seed=%d: %d instances clean (%.1fs)\n",
-			*baseSeed, *stDiff, time.Since(start).Seconds())
-	}
 
 	failures := 0
 	for i := 0; i < *seeds; i++ {

@@ -46,12 +46,6 @@ type Options struct {
 	// rerouting falls back to a full from-scratch run (see package
 	// incremental). Default 0.35; negative disables the fallback.
 	EcoThreshold float64 `json:"eco_threshold,omitempty"`
-	// ExactSteinerMax is the net-degree threshold for the exact
-	// goal-oriented Steiner oracle in global routing (see
-	// sharing.Options.ExactSteinerMax): 0 selects the default (exact for
-	// nets of ≤ 9 merged terminal groups), negative disables it so every
-	// oracle call uses Path Composition.
-	ExactSteinerMax int `json:"exact_steiner_max,omitempty"`
 	// ShardTiles shards the global-routing phase work by
 	// congestion-region tiles of this many grid tiles per side (see
 	// sharing.Options.ShardTiles). Pure work decomposition — results are
@@ -88,16 +82,11 @@ type GlobalStats struct {
 	LambdaHistory []float64
 	OracleCalls   int64
 	OracleReuses  int64
-	// Oracle attribution: calls, summed tree wire length and wall time
-	// per oracle (exact goal-oriented vs. Path Composition).
-	ExactCalls, PCCalls           int64
-	ExactTreeLength, PCTreeLength int64
-	ExactOracleTime, PCOracleTime time.Duration
-	Rechosen                      int
-	Rerouted                      int
-	Violations                    int
-	Unrouted                      int
-	Overflowed                    int
+	Rechosen      int
+	Rerouted      int
+	Violations    int
+	Unrouted      int
+	Overflowed    int
 	// Iterations is the baseline flow's negotiation iteration count.
 	Iterations int
 	// PerNetLength and PerNetVias are the global-route geometry per net.
@@ -222,20 +211,17 @@ func RouteBonnRoute(ctx context.Context, c *chip.Chip, opt Options) *Result {
 		algStart := time.Now()
 		gSpan := root.Child("stage.global", obs.Int("phases", opt.GlobalPhases))
 		solver := sharing.New(g, specs, sharing.Options{
-			Phases:          opt.GlobalPhases,
-			Workers:         opt.Workers,
-			Seed:            opt.Seed,
-			PowerCap:        opt.PowerCap,
-			ExactSteinerMax: opt.ExactSteinerMax,
-			ShardTiles:      opt.ShardTiles,
+			Phases:     opt.GlobalPhases,
+			Workers:    opt.Workers,
+			Seed:       opt.Seed,
+			PowerCap:   opt.PowerCap,
+			ShardTiles: opt.ShardTiles,
 		})
 		sres := solver.Run(obs.ContextWithSpan(ctx, gSpan))
 		total := time.Since(algStart)
 		gSpan.End(obs.F64("lambda", sres.LambdaFrac),
 			obs.Int64("oracle_calls", sres.OracleCalls),
 			obs.Int64("oracle_reuses", sres.OracleReuses),
-			obs.Int64("oracle_exact", sres.ExactCalls),
-			obs.Int64("oracle_pc", sres.PCCalls),
 			obs.Int("violations", sres.RoundingViolations),
 			obs.Int("unrouted", sres.Unrouted))
 		if sres.Cancelled {
@@ -243,23 +229,17 @@ func RouteBonnRoute(ctx context.Context, c *chip.Chip, opt Options) *Result {
 		}
 
 		gs := &GlobalStats{
-			Lambda:          sres.LambdaFrac,
-			LambdaHistory:   sres.LambdaHistory,
-			OracleCalls:     sres.OracleCalls,
-			OracleReuses:    sres.OracleReuses,
-			ExactCalls:      sres.ExactCalls,
-			PCCalls:         sres.PCCalls,
-			ExactTreeLength: sres.ExactTreeLength,
-			PCTreeLength:    sres.PCTreeLength,
-			ExactOracleTime: sres.ExactOracleTime,
-			PCOracleTime:    sres.PCOracleTime,
-			Rechosen:        sres.RechooseChanges,
-			Rerouted:        sres.Rerouted,
-			Violations:      sres.RoundingViolations,
-			Unrouted:        sres.Unrouted,
-			AlgTime:         sres.AlgTime,
-			RRTime:          sres.RepairTime,
-			Total:           total,
+			Lambda:        sres.LambdaFrac,
+			LambdaHistory: sres.LambdaHistory,
+			OracleCalls:   sres.OracleCalls,
+			OracleReuses:  sres.OracleReuses,
+			Rechosen:      sres.RechooseChanges,
+			Rerouted:      sres.Rerouted,
+			Violations:    sres.RoundingViolations,
+			Unrouted:      sres.Unrouted,
+			AlgTime:       sres.AlgTime,
+			RRTime:        sres.RepairTime,
+			Total:         total,
 		}
 		gs.PerNetLength = make([]int64, len(c.Nets))
 		gs.PerNetVias = make([]int, len(c.Nets))

@@ -43,7 +43,7 @@ func TestSummaryWireSchema(t *testing.T) {
 func TestOptionsWireSchema(t *testing.T) {
 	checkWireGolden(t, "wire_options.golden.json", Options{
 		Seed: 31, Workers: 2, GlobalPhases: 16, TileTracks: 10,
-		PowerCap: 50, SkipGlobal: true, EcoThreshold: 0.5, ExactSteinerMax: 7,
+		PowerCap: 50, SkipGlobal: true, EcoThreshold: 0.5,
 	})
 }
 

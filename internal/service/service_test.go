@@ -435,7 +435,7 @@ func TestCreateIgnoresRetiredOptionKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := json.RawMessage(`{"name": "old", "chip": ` + string(chipJSON) +
-		`, "options": {"seed": 7, "use_pfuture": true, "future_mode": "reduced"}}`)
+		`, "options": {"seed": 7, "use_pfuture": true, "future_mode": "reduced", "exact_steiner_max": 3}}`)
 	resp, out := postJSON(t, ts.Client(), ts.URL+"/sessions", body)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d %s", resp.StatusCode, out)

@@ -42,10 +42,6 @@ func RouteRestricted(g *grid.Graph, specs []NetSpec, base []float64, nets []int)
 	E := g.NumEdges()
 	load := make([]float64, E)
 	copy(load, base)
-	// Plain Path Composition, deliberately: these are single dirty nets
-	// under a frozen residual capacity, where the composition-order
-	// degeneracy the exact oracle removes does not arise, and ECO
-	// latency is the budget (DESIGN.md §13).
 	oracle := steiner.NewOracle(g)
 	res := RestrictedResult{Trees: make([][]int32, len(nets))}
 	touched := make(map[int32]struct{})

@@ -67,14 +67,6 @@ type Options struct {
 	// netlength objective (the paper optimizes wire length AND via
 	// count); 0 derives half a tile.
 	ViaLengthEquiv float64
-	// ExactSteinerMax is the net-degree threshold for the exact
-	// goal-oriented Steiner oracle ("Dijkstra meets Steiner"): nets
-	// whose terminals merge to at most this many groups are answered
-	// with a provably minimum tree, larger nets with Path Composition.
-	// 0 selects steiner.DefaultExactMax (9); negative disables the
-	// exact oracle entirely. The choice depends only on the net, so the
-	// phase-snapshot determinism across worker counts is unaffected.
-	ExactSteinerMax int
 	// ShardTiles shards the per-phase pricing work by congestion-region
 	// tiles: the NX×NY tile array is covered with square regions of
 	// ShardTiles×ShardTiles tiles, nets are bucketed by the region
@@ -107,9 +99,6 @@ func (o *Options) setDefaults() {
 	}
 	if len(o.ExtraLevels) == 0 {
 		o.ExtraLevels = []float64{0, 0.5, 1}
-	}
-	if o.ExactSteinerMax == 0 {
-		o.ExactSteinerMax = steiner.DefaultExactMax
 	}
 }
 
@@ -147,13 +136,13 @@ type Result struct {
 	LambdaHistory []float64
 	// OracleCalls and OracleReuses count oracle invocations vs. reuses.
 	OracleCalls, OracleReuses int64
-	// Per-oracle attribution: calls answered by the exact goal-oriented
-	// oracle vs. Path Composition (including the exact oracle's own
-	// above-threshold fallbacks), the summed wire length of the returned
-	// trees, and the oracle wall time. Observational only — no solver
-	// decision reads these, so determinism across worker counts holds.
+	// PCCalls and PCOracleTime count every Path Composition call of the
+	// run (phase pricing and repair reroutes) and their wall time.
+	// Observational only — no solver decision reads them. ExactCalls and
+	// ExactOracleTime are always 0: global routing has one oracle
+	// (DESIGN.md §13); they are kept so that the benchmark's
+	// steiner.exact_* metrics keep their names.
 	ExactCalls, PCCalls           int64
-	ExactTreeLength, PCTreeLength int64
 	ExactOracleTime, PCOracleTime time.Duration
 	// RoundingViolations is the number of overloaded resources right
 	// after randomized rounding; RepairedByRechoose and Rerouted count
@@ -189,18 +178,13 @@ type Solver struct {
 	powerCap float64
 	viaLen   float64
 	nRes     int
-	// Per-worker oracles: exacts when the exact oracle is enabled
-	// (each embeds its own Path Composition fallback), plain Path
-	// Composition oracles otherwise. Neither is concurrency-safe, hence
-	// one per worker.
+	// Per-worker Path Composition oracles (not concurrency-safe, hence
+	// one per worker).
 	oracles []*steiner.Oracle
-	exacts  []*steiner.Exact
 	calls   int64
 	reuses  int64
-	// Oracle attribution (atomics; see Result).
-	exactCalls, pcCalls int64
-	exactLen, pcLen     int64
-	exactNanos, pcNanos int64
+	// Every oracle call and its wall time (atomics; see Result).
+	pcCalls, pcNanos int64
 	// shards groups net indices by congestion-region tile when
 	// Opt.ShardTiles > 0 (see Options.ShardTiles); nil otherwise.
 	shards [][]int32
@@ -234,16 +218,9 @@ func New(g *grid.Graph, nets []NetSpec, opt Options) *Solver {
 	if s.viaLen <= 0 {
 		s.viaLen = float64(g.TileW) / 2
 	}
-	if opt.ExactSteinerMax > 0 {
-		s.exacts = make([]*steiner.Exact, opt.Workers)
-		for i := range s.exacts {
-			s.exacts[i] = steiner.NewExact(g, opt.ExactSteinerMax)
-		}
-	} else {
-		s.oracles = make([]*steiner.Oracle, opt.Workers)
-		for i := range s.oracles {
-			s.oracles[i] = steiner.NewOracle(g)
-		}
+	s.oracles = make([]*steiner.Oracle, opt.Workers)
+	for i := range s.oracles {
+		s.oracles[i] = steiner.NewOracle(g)
 	}
 	if opt.ShardTiles > 0 {
 		s.shards = buildShards(g, nets, opt.ShardTiles)
@@ -291,33 +268,13 @@ func buildShards(g *grid.Graph, nets []NetSpec, st int) [][]int32 {
 	return shards
 }
 
-// treeFor answers one Steiner oracle call on worker w's oracle pair,
-// attributing wire length and wall time to the oracle that actually
-// produced the tree (the exact oracle reports its own above-threshold
-// Path Composition fallbacks as such).
+// treeFor answers one Steiner oracle call on worker w's oracle and
+// counts the call and its wall time.
 func (s *Solver) treeFor(w int, cost func(e int) float64, terminals [][]int) ([]int, bool) {
 	start := time.Now()
-	var edges []int
-	var isExact, ok bool
-	if s.exacts != nil {
-		edges, isExact, ok = s.exacts[w].Tree(cost, terminals)
-	} else {
-		edges, ok = s.oracles[w].Tree(cost, terminals)
-	}
-	dt := time.Since(start).Nanoseconds()
-	if isExact {
-		atomic.AddInt64(&s.exactCalls, 1)
-		atomic.AddInt64(&s.exactNanos, dt)
-		if ok {
-			atomic.AddInt64(&s.exactLen, int64(steiner.TreeLength(s.G, edges)))
-		}
-	} else {
-		atomic.AddInt64(&s.pcCalls, 1)
-		atomic.AddInt64(&s.pcNanos, dt)
-		if ok {
-			atomic.AddInt64(&s.pcLen, int64(steiner.TreeLength(s.G, edges)))
-		}
-	}
+	edges, ok := s.oracles[w].Tree(cost, terminals)
+	atomic.AddInt64(&s.pcNanos, time.Since(start).Nanoseconds())
+	atomic.AddInt64(&s.pcCalls, 1)
 	return edges, ok
 }
 
@@ -483,7 +440,6 @@ func (s *Solver) Run(ctx context.Context) *Result {
 		}
 		phSpan := span.Child("global.phase", obs.Int("phase", phase))
 		callsBefore, reusesBefore := atomic.LoadInt64(&s.calls), atomic.LoadInt64(&s.reuses)
-		exactBefore, pcBefore := atomic.LoadInt64(&s.exactCalls), atomic.LoadInt64(&s.pcCalls)
 		phaseLoad := make([]float64, s.nRes)
 		var priceUpdates int64
 
@@ -623,8 +579,6 @@ func (s *Solver) Run(ctx context.Context) *Result {
 		phSpan.End(obs.F64("lambda", lambda),
 			obs.Int64("oracle_calls", atomic.LoadInt64(&s.calls)-callsBefore),
 			obs.Int64("oracle_reuses", atomic.LoadInt64(&s.reuses)-reusesBefore),
-			obs.Int64("oracle_exact", atomic.LoadInt64(&s.exactCalls)-exactBefore),
-			obs.Int64("oracle_pc", atomic.LoadInt64(&s.pcCalls)-pcBefore),
 			obs.Int64("price_updates", priceUpdates))
 	}
 
@@ -660,11 +614,7 @@ func (s *Solver) Run(ctx context.Context) *Result {
 	res.RepairTime = time.Since(repairStart)
 	res.OracleCalls = s.calls
 	res.OracleReuses = s.reuses
-	res.ExactCalls = s.exactCalls
 	res.PCCalls = s.pcCalls
-	res.ExactTreeLength = s.exactLen
-	res.PCTreeLength = s.pcLen
-	res.ExactOracleTime = time.Duration(s.exactNanos)
 	res.PCOracleTime = time.Duration(s.pcNanos)
 	if ctx.Err() != nil {
 		res.Cancelled = true

@@ -10,8 +10,6 @@ import (
 
 // This file is the differential harness for the exact oracle: an
 // independent reference solver plus a seeded random-instance checker.
-// It lives outside the _test files so cmd/routefuzz can run the same
-// checks in its fixed-seed smoke slice.
 
 // ReferenceTreeCost computes the optimal Steiner tree cost by the plain
 // Erickson–Monma–Veinott label algorithm: the same (vertex, subset)

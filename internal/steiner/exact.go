@@ -6,11 +6,12 @@ import (
 	"bonnroute/internal/grid"
 )
 
-// DefaultExactMax is the net-degree threshold under which the resource
-// sharing solver answers oracle calls with the exact goal-oriented
-// algorithm instead of Path Composition: ≤ 9 terminals, the regime
-// where the Dreyfus–Wagner baseline (rsmt.go) already certifies optima
-// and where the 2^(k−1) subset lattice stays tiny.
+// DefaultExactMax is the net-degree limit NewExact uses when given 0:
+// ≤ 9 terminal groups, the regime where the Dreyfus–Wagner baseline
+// (rsmt.go) already certifies optima and where the 2^(k−1) subset
+// lattice stays tiny. The router itself answers every net with Path
+// Composition; Exact is the tested reference that the benchmark probe
+// times beside it (DESIGN.md §13).
 const DefaultExactMax = 9
 
 // exactHardCap bounds the degree the exact oracle will ever attempt:

@@ -17,12 +17,11 @@ func TestOptionComposition(t *testing.T) {
 		WithPhases(16),
 		WithTileTracks(10),
 		WithPowerCap(50),
-		WithExactSteiner(7),
 	})
 	if o.Workers != 8 || o.Seed != 7 || o.Tracer != tr {
 		t.Fatalf("basic options not applied: %+v", o)
 	}
-	if o.GlobalPhases != 16 || o.TileTracks != 10 || o.PowerCap != 50 || o.ExactSteinerMax != 7 {
+	if o.GlobalPhases != 16 || o.TileTracks != 10 || o.PowerCap != 50 {
 		t.Fatalf("global options not applied: %+v", o)
 	}
 	if o.SkipGlobal {
@@ -76,23 +75,6 @@ func TestOptionExplicitZero(t *testing.T) {
 	o.SetDefaults()
 	if o.GlobalPhases != 32 || o.TileTracks != 8 || o.PowerCap != 0 {
 		t.Fatalf("cleared fields must take the core defaults: %+v", o)
-	}
-}
-
-// WithExactSteiner sets the exact-oracle threshold: 0 restores the core
-// default and a negative value disables the exact oracle.
-func TestExactSteinerOption(t *testing.T) {
-	o := buildOptions([]Option{WithExactSteiner(7), WithPhases(16)})
-	if o.ExactSteinerMax != 7 {
-		t.Fatalf("threshold not applied: %+v", o)
-	}
-	o = buildOptions([]Option{WithExactSteiner(7), WithExactSteiner(0)})
-	if o.ExactSteinerMax != 0 {
-		t.Fatalf("WithExactSteiner(0) must restore the core default: %+v", o)
-	}
-	o = buildOptions([]Option{WithExactSteiner(-1)})
-	if o.ExactSteinerMax != -1 {
-		t.Fatalf("a negative threshold must disable the exact oracle: %+v", o)
 	}
 }
 

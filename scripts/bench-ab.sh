@@ -12,8 +12,11 @@
 # sides, the side that goes first flipping from pair to pair. Each run
 # prints its wall seconds (build included) and its op_p50_ms; the end
 # prints the medians and quartiles per side and how many pairs the
-# change won. Exits non-zero when a run fails or when the #info counts
-# of any run differ from the first base run's.
+# change won. Each side's #info counts are checked against that side's
+# own first run (the determinism check): a failed run or a drift exits 1.
+# Then both sides' counts are printed once, with one line saying whether
+# they are identical; when they differ (a declared quality change, or an
+# unintended one) the script exits 3.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -56,7 +59,7 @@ echo "warm-up base: ${wall} s"
 run change "$change" --seconds 1
 echo "warm-up change: ${wall} s"
 
-ref="" fail=0 wins=0
+base_ref_counts="" change_ref_counts="" fail=0 wins=0
 base_p50=() change_p50=()
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2)); then order="base change"; else order="change base"; fi
@@ -64,10 +67,11 @@ for ((i = 1; i <= pairs; i++)); do
 		if [ "$side" = base ]; then dir=$base; else dir=$change; fi
 		run "$side" "$dir"
 		printf 'pair %2d %-6s wall %6s s  op_p50_ms %.1f\n' "$i" "$side" "$wall" "$p50"
-		if [ -z "$ref" ]; then
-			ref=$counts
-		elif [ "$counts" != "$ref" ]; then
-			echo "  counts differ: $counts vs $ref" >&2
+		ref_var=${side}_ref_counts
+		if [ -z "${!ref_var}" ]; then
+			printf -v "$ref_var" '%s' "$counts"
+		elif [ "$counts" != "${!ref_var}" ]; then
+			echo "  $side counts drift: $counts vs ${!ref_var}" >&2
 			fail=1
 		fi
 		if [ "$side" = base ]; then b=$p50; base_p50+=("$p50"); else c=$p50; change_p50+=("$p50"); fi
@@ -84,8 +88,15 @@ quartiles() {
 echo "base   op_p50_ms $(quartiles "${base_p50[@]}")"
 echo "change op_p50_ms $(quartiles "${change_p50[@]}")"
 echo "change faster in $wins of $pairs pairs"
-echo "counts $ref"
+echo "base   counts $base_ref_counts"
+echo "change counts $change_ref_counts"
 if ((fail)); then
-	echo "#info counts differ between runs" >&2
+	echo "#info counts drift between runs of the same side" >&2
 	exit 1
+fi
+if [ "$base_ref_counts" = "$change_ref_counts" ]; then
+	echo "base and change counts: identical"
+else
+	echo "base and change counts: differ"
+	exit 3
 fi

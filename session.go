@@ -49,12 +49,16 @@ type Session struct {
 }
 
 // NewSession routes the chip with the given options and pins the
-// finished result. Cancelling ctx aborts the initial route and returns
-// the context's error (wrapped with ErrCancelled); no session is
-// created from a partial result.
+// finished result. A chip that fails Chip.Validate is rejected with that
+// error before any routing starts. Cancelling ctx aborts the initial
+// route and returns the context's error (wrapped with ErrCancelled); no
+// session is created from a partial result.
 func NewSession(ctx context.Context, c *Chip, opts ...Option) (*Session, error) {
 	if c == nil {
 		return nil, errors.New("bonnroute: NewSession needs a chip")
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
 	o := buildOptions(opts)
 	res := core.RouteBonnRoute(ctx, c, o)

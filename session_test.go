@@ -117,6 +117,21 @@ func TestNewSessionCancelled(t *testing.T) {
 	}
 }
 
+// An invalid chip is rejected with chip.Validate's error before routing:
+// a zero layer pitch used to panic inside the flow.
+func TestNewSessionRejectsInvalidChip(t *testing.T) {
+	c := sessionChip()
+	c.Deck.Layers[0].Pitch = 0
+	want := c.Validate()
+	if want == nil {
+		t.Fatal("a zero pitch must fail chip.Validate")
+	}
+	s, err := bonnroute.NewSession(context.Background(), c)
+	if s != nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("got session %v, err %v; want chip.Validate's error %v", s, err, want)
+	}
+}
+
 func TestSessionFromResult(t *testing.T) {
 	ctx := context.Background()
 	res := bonnroute.Route(ctx, sessionChip(), bonnroute.WithSeed(31))
