@@ -10,9 +10,10 @@
 # `--seconds 1` to fill its own build cache; then every pair runs
 # `bash bench/run.sh --workload WORKLOAD --seed SEED --trace 0` on both
 # sides, the side that goes first flipping from pair to pair. Each run
-# prints its wall seconds (build included) and its op_p50_ms; the end
-# prints the medians and quartiles per side and how many pairs the
-# change won. Each side's #info counts are checked against that side's
+# prints its wall seconds (build included), its op_p50_ms and its
+# setup_s, throughput_per_s and peak_rss_mb; the end prints the
+# op_p50_ms medians and quartiles per side and how many pairs the change
+# won. Each side's #info counts are checked against that side's
 # own first run (the determinism check): a failed run or a drift exits 1.
 # Then both sides' counts are printed once, with one line saying whether
 # they are identical; when they differ (a declared quality change, or an
@@ -31,7 +32,8 @@ trap 'rm -rf "$base"' EXIT
 git -C "$change" archive "$base_ref" | tar -x -C "$base"
 echo "base $base_ref ($(git -C "$change" rev-parse --short "$base_ref")) in $base; change $change"
 
-# run SIDE DIR [ARGS...]: one run.sh run; sets wall, p50 and counts.
+# run SIDE DIR [ARGS...]: one run.sh run; sets wall, p50, other (the
+# remaining timing and memory metrics) and counts.
 run() {
 	local side=$1 dir=$2 out start end
 	shift 2
@@ -46,6 +48,8 @@ run() {
 	end=$(date +%s.%N)
 	wall=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.1f", b - a }')
 	p50=$(tail -n 1 "$out" | grep -o '"op_p50_ms":{"value":[0-9.eE+-]*' | sed 's/.*://') || true
+	other=$(tail -n 1 "$out" | grep -o '"\(setup_s\|throughput_per_s\|peak_rss_mb\)":{"value":[0-9.eE+-]*' |
+		sed 's/^"//;s/":{"value":/ /' | tr '\n' ' ') || true
 	counts=$(grep '^#info ' "$out" | grep -o '"counts":{[^}]*}') || true
 	rm -f "$out"
 	if [ -z "$p50" ] || [ -z "$counts" ]; then
@@ -59,19 +63,19 @@ echo "warm-up base: ${wall} s"
 run change "$change" --seconds 1
 echo "warm-up change: ${wall} s"
 
-base_ref_counts="" change_ref_counts="" fail=0 wins=0
+fail=0 wins=0
+declare -A ref=() # the first run's #info counts per side
 base_p50=() change_p50=()
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2)); then order="base change"; else order="change base"; fi
 	for side in $order; do
 		if [ "$side" = base ]; then dir=$base; else dir=$change; fi
 		run "$side" "$dir"
-		printf 'pair %2d %-6s wall %6s s  op_p50_ms %.1f\n' "$i" "$side" "$wall" "$p50"
-		ref_var=${side}_ref_counts
-		if [ -z "${!ref_var}" ]; then
-			printf -v "$ref_var" '%s' "$counts"
-		elif [ "$counts" != "${!ref_var}" ]; then
-			echo "  $side counts drift: $counts vs ${!ref_var}" >&2
+		printf 'pair %2d %-6s wall %6s s  op_p50_ms %.1f  %s\n' "$i" "$side" "$wall" "$p50" "$other"
+		if [ -z "${ref[$side]:-}" ]; then
+			ref[$side]=$counts
+		elif [ "$counts" != "${ref[$side]}" ]; then
+			echo "  $side counts drift: $counts vs ${ref[$side]}" >&2
 			fail=1
 		fi
 		if [ "$side" = base ]; then b=$p50; base_p50+=("$p50"); else c=$p50; change_p50+=("$p50"); fi
@@ -88,13 +92,13 @@ quartiles() {
 echo "base   op_p50_ms $(quartiles "${base_p50[@]}")"
 echo "change op_p50_ms $(quartiles "${change_p50[@]}")"
 echo "change faster in $wins of $pairs pairs"
-echo "base   counts $base_ref_counts"
-echo "change counts $change_ref_counts"
+echo "base   counts ${ref[base]:-}"
+echo "change counts ${ref[change]:-}"
 if ((fail)); then
 	echo "#info counts drift between runs of the same side" >&2
 	exit 1
 fi
-if [ "$base_ref_counts" = "$change_ref_counts" ]; then
+if [ "${ref[base]:-}" = "${ref[change]:-}" ]; then
 	echo "base and change counts: identical"
 else
 	echo "base and change counts: differ"
